@@ -2,7 +2,7 @@
 variable tilts: likelihood fitting, covariance machinery, tilt-selection
 tests, threshold probabilities, and a Monte Carlo comparison harness."""
 
-from .asymptotics import BuildingBlocks, SigmaT, S_matrix, Sigma_matrix, blocks, sigma_t
+from .asymptotics import Sigma_matrix, sigma_t
 from .core import (
     ArityMismatch,
     Basis,
@@ -52,13 +52,13 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityMismatch", "Basis", "BuildingBlocks", "ComparisonTable", "ComponentTest",
+    "ArityMismatch", "Basis", "ComparisonTable", "ComponentTest",
     "DrmError", "DuplicateBasis", "EmptySample", "FitOptions", "FittedModel",
     "FusedData", "GLOBAL_TILT", "GofResult", "InputError", "NoConvergence",
-    "NonFinite", "NonPositiveValue", "NumericalError", "Role", "S_matrix",
-    "Sample", "SigmaT", "Sigma_matrix", "SimConfig", "SingularHessian",
+    "NonFinite", "NonPositiveValue", "NumericalError", "Role",
+    "Sample", "Sigma_matrix", "SimConfig", "SingularHessian",
     "SingularMatrix", "StepCDF", "TestReport", "Theta", "ThresholdEstimate",
-    "TiltSpec", "blocks", "chi_square_beta_test", "drm_cdf", "empirical_cdf",
+    "TiltSpec", "chi_square_beta_test", "drm_cdf", "empirical_cdf",
     "exp2_cdf", "fit", "generate", "gof_pairs", "hessian", "miae_mise",
     "profile_loglik", "refine_tilts", "run_comparison", "score", "sigma_t",
     "threshold_probability", "tilt_value", "validate", "z_tests",

@@ -44,6 +44,20 @@ def softmax_ratios(theta: Theta, data: FusedData):
     return q, logD, eta
 
 
+def tilt_design(U: np.ndarray, data: FusedData) -> np.ndarray:
+    """Psi with rows (u_1, ..., u_m, u_1 h_1', ..., u_m h_m'), shape (n, m + r).
+
+    ``U[:, k] = rho_k w_k / D``; the beta blocks follow ``data.beta_offsets``.
+    """
+    m, offs = data.m, data.beta_offsets
+    Psi = np.empty((data.n, m + data.r))
+    Psi[:, :m] = U
+    for k in range(m):
+        if data.dims[k]:
+            Psi[:, m + offs[k]:m + offs[k + 1]] = U[:, k][:, None] * data.basis[k]
+    return Psi
+
+
 def fused_weights(logD: np.ndarray, data: FusedData) -> np.ndarray:
     """Empirical-likelihood point masses p_i = 1 / (n_0 D_i)."""
     return np.exp(-np.log(data.n0) - logD)

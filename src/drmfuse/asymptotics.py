@@ -1,176 +1,33 @@
-"""Plug-in covariance machinery: building blocks, S, Lambda, Sigma, sigma(t).
+"""Plug-in covariance machinery: Sigma and the pointwise variance sigma(t).
 
-Population integrals of the form int phi(t) dG(t) are estimated by the
-p-weighted sums over the fused data with the fitted tilts plugged in. The
-block matrices feed
+The plug-in information S is -H / n at the fitted parameters (see
+``likelihood.fit``). From it,
 
-    S     = (1 / sum_k rho_k) [[rho - rho A rho, rho E' - rho B rhobar],
-                               [  .           ', rhobar Ebar - rhobar C rhobar]]
     Sigma = S^{-1} - (sum_j rho_j) diag(J_m + rho^{-1}, 0)
 
-and the pointwise variance of sqrt(n) (Gtilde(t) - G(t)),
+is the asymptotic covariance of sqrt(n)(theta - theta0), with J_m the m x m
+all-ones matrix, and the pointwise variance of sqrt(n)(Gtilde(t) - G(t)) is
 
     sigma(t) = (sum_j rho_j) (G - G^2 - sum_{j>=1} rho_j A_j(t)) + a' S^{-1} a,
-    a = (rho_1 A_1(t), ..., rho_m A_m(t), rho_1 B_1(t)', ..., rho_m B_m(t)').
+    a = (rho_1 A_1(t), ..., rho_m A_m(t), rho_1 B_1(t)', ..., rho_m B_m(t)'),
 
-J_m is the m x m all-ones matrix; with that reading the sandwich route
-S^{-1} Lambda S^{-1} and the closed form above agree numerically.
+where G(t), A_k(t) = int^t w_k / D dG and B_k(t) = int^t w_k h_k / D dG are
+estimated by p-weighted sums over the fused points at or below t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._kernels import fused_weights, softmax_ratios
-from .core import (
-    FittedModel,
-    FusedData,
-    NonFinite,
-    SingularMatrix,
-    Theta,
-    _freeze,
-)
+from ._kernels import softmax_ratios, tilt_design
+from .core import FittedModel, NonFinite, SingularMatrix
 
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class BuildingBlocks:
-    """Plug-in estimates of the covariance building blocks.
-
-    Shapes: A (m,m); B (m,r); C (r,r); E (r,m) block-diagonal; Ebar (r,r)
-    block-diagonal; V = Ebar - E E' restricted to its diagonal blocks.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-    Ebar: np.ndarray
-    V: np.ndarray
-    rho_diag: np.ndarray
-    rhobar_diag: np.ndarray
-    Jm: np.ndarray
-    dims: tuple[int, ...]
-    rho: np.ndarray = field(repr=False)
-    # per-point plug-in state reused by sigma_t
-    q: np.ndarray = field(repr=False)        # (n, m) softmax ratios w_k / D
-    logD: np.ndarray = field(repr=False)
-    pweights: np.ndarray = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.dims)
-
-    @property
-    def r(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def rho_sum(self) -> float:
-        return float(self.rho.sum())
-
-    @property
-    def beta_offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-
-
-def blocks(fit: FittedModel) -> BuildingBlocks:
-    """Building blocks at the fitted parameters."""
-    return blocks_at(fit.theta, fit.data)
-
-
-def blocks_at(theta: Theta, data: FusedData) -> BuildingBlocks:
-    """Building blocks at arbitrary parameters (plug-in over the fused data).
-
-    All integrands are assembled from q_k = w_k / D (bounded by 1/rho_k), so
-    they stay finite even when individual tilt values overflow.
-    """
-    m, r, n0 = data.m, data.r, data.n0
-    q, logD, _ = softmax_ratios(theta, data)
-    pw = fused_weights(logD, data)
-    offs = data.beta_offsets
-
-    # A_{kk'} = sum_i p_i w_k w_k' / D = (1/n0) sum_i q_k q_k'
-    A = (q.T @ q) / n0
-    B = np.zeros((m, r))
-    C = np.zeros((r, r))
-    E = np.zeros((r, m))
-    Ebar = np.zeros((r, r))
-    V = np.zeros((r, r))
-    for k in range(m):
-        hk = data.basis[k]
-        qk = q[:, k]
-        for kp in range(m):
-            qq = qk * q[:, kp]
-            B[k, offs[kp]:offs[kp + 1]] = (qq @ data.basis[kp]) / n0
-            C[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = (
-                hk.T @ (qq[:, None] * data.basis[kp]) / n0
-            )
-        # E_k = sum_i p_i w_k h_k = (1/n0) sum_i q_k h_k
-        Ek = (qk @ hk) / n0
-        Ebark = hk.T @ (qk[:, None] * hk) / n0
-        E[offs[k]:offs[k + 1], k] = Ek
-        Ebar[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = Ebark
-        V[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = Ebark - np.outer(Ek, Ek)
-
-    for name, mat in (("A", A), ("B", B), ("C", C), ("E", E), ("Ebar", Ebar)):
-        if not np.isfinite(mat).all():
-            raise NonFinite(f"building block {name}")
-
-    rho = data.rho[1:]
-    return BuildingBlocks(
-        A=_freeze(A), B=_freeze(B), C=_freeze(C), E=_freeze(E),
-        Ebar=_freeze(Ebar), V=_freeze(V),
-        rho_diag=_freeze(np.diag(rho)),
-        rhobar_diag=_freeze(np.diag(np.repeat(rho, data.dims)) if r else np.zeros((0, 0))),
-        Jm=_freeze(np.ones((m, m))),
-        dims=data.dims,
-        rho=_freeze(data.rho.copy()),
-        q=_freeze(q), logD=_freeze(logD), pweights=_freeze(pw),
-    )
-
-
-def S_matrix(bb: BuildingBlocks) -> np.ndarray:
-    """Plug-in S; symmetric positive definite for non-degenerate models."""
-    rho, rhobar = bb.rho_diag, bb.rhobar_diag
-    S11 = rho - rho @ bb.A @ rho
-    S12 = rho @ bb.E.T - rho @ bb.B @ rhobar
-    S22 = rhobar @ bb.Ebar - rhobar @ bb.C @ rhobar
-    S = np.block([[S11, S12], [S12.T, S22]]) / bb.rho_sum
-    S = 0.5 * (S + S.T)
-    if S.size:
-        lam_min = float(np.linalg.eigvalsh(S)[0])
-        if lam_min <= 0:
-            raise SingularMatrix(
-                f"S is not positive definite (smallest eigenvalue {lam_min:.3e})",
-                smallest_eigenvalue=lam_min,
-            )
-    return S
-
-
-def lambda_matrix(bb: BuildingBlocks) -> np.ndarray:
-    """Score covariance Lambda assembled from its definition blocks."""
-    m = bb.m
-    rho, rhobar, J = bb.rho_diag, bb.rhobar_diag, bb.Jm
-    A, B, E, Ebar, C = bb.A, bb.B, bb.E, bb.Ebar, bb.C
-    Im = np.eye(m)
-    L11 = rho @ (A - A @ rho @ A - (Im - A @ rho) @ J @ (Im - rho @ A)) @ rho
-    L12 = rho @ (A @ E.T - A @ rho @ B - (Im - A @ rho) @ J @ (E.T - rho @ B)) @ rhobar
-    L22 = (
-        rhobar
-        @ (-C - B.T @ rho @ B - (E - B.T @ rho) @ J @ (E.T - rho @ B)
-           + B.T @ E.T + E @ B)
-        @ rhobar
-        + rhobar @ (Ebar - E @ E.T)
-    )
-    Lam = np.block([[L11, L12], [L12.T, L22]]) / bb.rho_sum
-    return 0.5 * (Lam + Lam.T)
-
-
 def _sym_inverse(S: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a symmetric matrix; SingularMatrix unless it is positive
+    definite with condition number at most 1e12."""
     if S.size == 0:
         return S.copy()
     vals, vecs = np.linalg.eigh(S)
@@ -183,55 +40,45 @@ def _sym_inverse(S: np.ndarray, what: str) -> np.ndarray:
     return (vecs / vals) @ vecs.T
 
 
-def Sigma_matrix(bb: BuildingBlocks, S: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of sqrt(n)(theta - theta0), closed form."""
-    m = bb.m
+def Sigma_matrix(S: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Asymptotic covariance of sqrt(n)(theta - theta0), closed form.
+
+    ``rho`` is the fused data's ``(1, rho_1, ..., rho_m)``.
+    """
+    m = rho.size - 1
     Sinv = _sym_inverse(S, "S")
     P = np.zeros_like(S)
     if m:
-        rho1 = np.diag(bb.rho_diag)
-        P[:m, :m] = bb.Jm + np.diag(1.0 / rho1)
-    Sigma = Sinv - bb.rho_sum * P
+        P[:m, :m] = 1.0 + np.diag(1.0 / rho[1:])
+    Sigma = Sinv - rho.sum() * P
     return 0.5 * (Sigma + Sigma.T)
 
 
-@dataclass(frozen=True)
-class SigmaT:
-    """Pointwise variance of sqrt(n)(Gtilde(t) - G(t)); clamped flags a
-    negative plug-in value truncated to zero."""
+def sigma_t(fit: FittedModel, T) -> np.ndarray:
+    """Plug-in sigma(t) at each threshold of the 1-d array ``T``.
 
-    value: float
-    clamped: bool = False
-
-
-def sigma_t(fit: FittedModel, bb: BuildingBlocks, t: float) -> SigmaT:
-    """Plug-in sigma(t), piecewise-constant between adjacent fused points."""
-    m = bb.m
+    Piecewise constant between adjacent fused points. Negative plug-in values
+    are clamped to zero. The partial sums behind G, A and B come from one
+    cumulative pass over the fused points sorted by t, so each threshold
+    costs a binary search and one quadratic form in S^{-1}.
+    """
     data = fit.data
-    rho1 = np.diag(bb.rho_diag) if m else np.empty(0)
-    c = bb.rho_sum
-    offs = bb.beta_offsets
-
-    ind = data.t <= t
-    Gt = float(bb.pweights[ind].sum())
-    expnD = np.exp(-bb.logD[ind])
-    # A_k(t) = sum_i p_i w_k I / D = (1/n0) sum_i q_k exp(-logD) I
-    Ak = (bb.q[ind] * expnD[:, None]).sum(axis=0) / data.n0 if m else np.empty(0)
-    a = np.zeros(m + bb.r)
-    a[:m] = rho1 * Ak
-    for k in range(m):
-        if bb.dims[k]:
-            Bk = ((bb.q[ind, k] * expnD) @ data.basis[k][ind]) / data.n0
-            a[m + offs[k]:m + offs[k + 1]] = rho1[k] * Bk
-
-    value = c * (Gt - Gt * Gt - float(rho1 @ Ak))
-    if a.size:
-        try:
-            value += float(a @ np.linalg.solve(fit.S, a))
-        except np.linalg.LinAlgError:
-            raise SingularMatrix("S solve failed in sigma(t)") from None
-    if not np.isfinite(value):
+    m = data.m
+    q, _, _ = softmax_ratios(fit.theta, data)
+    # Row 1 + i holds p_i (1, Psi_i): the G, rho_k A_k and rho_k B_k integrands
+    # at t_i. Sorted by t and summed in place, row j is (G, a) at the j-th
+    # smallest fused point; row 0 is t below all data.
+    cum = np.zeros((data.n + 1, 1 + m + data.r))
+    cum[1:, 0] = fit.weights
+    cum[1:, 1:] = tilt_design(data.rho[1:] * q, data)
+    cum[1:, 1:] *= fit.weights[:, None]
+    order = np.argsort(data.t, kind="stable")
+    np.cumsum(cum[1:][order], axis=0, out=cum[1:])
+    at = cum[np.searchsorted(data.t[order], np.asarray(T, dtype=float), side="right")]
+    G, a = at[..., 0], at[..., 1:]
+    Sinv = _sym_inverse(fit.S, "S")
+    value = (data.rho.sum() * (G - G * G - a[..., :m].sum(axis=-1))
+             + ((a @ Sinv) * a).sum(axis=-1))
+    if not np.isfinite(value).all():
         raise NonFinite("sigma(t)")
-    if value < 0.0:
-        return SigmaT(0.0, clamped=True)
-    return SigmaT(float(value), clamped=False)
+    return np.where(value < 0.0, 0.0, value)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 
@@ -87,7 +88,9 @@ def _read_rows(path: str):
             try:
                 value = float(raw)
             except ValueError:
-                raise ParseError(line_no, f"bad value {raw!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(line_no, f"bad value {raw!r}")
             yield region, period, value
 
 
@@ -102,14 +105,24 @@ def ingest(
     Rows with value <= 0 are dropped and counted per region; rows for regions
     outside the requested set are ignored.
     """
+    return _partition(_read_rows(path), _regions(reference_region, neighbor_regions),
+                      period_filter)
+
+
+def _regions(reference_region: str, neighbor_regions: list[str]) -> list[str]:
     wanted = [reference_region, *neighbor_regions]
     if len(set(wanted)) != len(wanted):
         raise ConfigError("reference and neighbor regions must be distinct")
+    return wanted
+
+
+def _partition(rows, wanted: list[str], period_filter: set[str] | None) -> IngestResult:
+    """Samples for the regions in ``wanted`` (reference first) from parsed rows."""
     values: dict[str, list[float]] = {rg: [] for rg in wanted}
     rejected: dict[str, int] = {rg: 0 for rg in wanted}
     seen_regions: set[str] = set()
     periods: set[str] = set()
-    for region, period, value in _read_rows(path):
+    for region, period, value in rows:
         periods.add(period)
         if region not in values:
             continue
@@ -126,10 +139,8 @@ def ingest(
         if not values[rg]:
             raise EmptyAfterFilter(rg)
     return IngestResult(
-        reference=Sample.reference(reference_region, np.asarray(values[reference_region])),
-        neighbors=tuple(
-            Sample.neighbor(rg, np.asarray(values[rg])) for rg in neighbor_regions
-        ),
+        reference=Sample.reference(wanted[0], np.asarray(values[wanted[0]])),
+        neighbors=tuple(Sample.neighbor(rg, np.asarray(values[rg])) for rg in wanted[1:]),
         rejected=rejected,
         periods_seen=tuple(sorted(periods)),
     )
@@ -248,7 +259,7 @@ def cmd_fit(args) -> int:
                 f"{float(fitted.theta.beta[k][j])!r},{float(se[idx])!r}"
             )
     lines.append(f"# loglik={float(fitted.loglik)!r} iterations={fitted.iterations} "
-                 f"score_norm={fitted.score_norm:.3e} converged={fitted.converged}")
+                 f"score_norm={fitted.score_norm:.3e}")
     lines.append(f"# tilts: {'; '.join(spec.format() for spec in tilts)}")
     _emit("\n".join(lines), args.out)
     return 0
@@ -257,15 +268,16 @@ def cmd_fit(args) -> int:
 def cmd_refine(args) -> int:
     _check_alpha(args)
     neighbor_names = _split_list(args.neighbors)
-    probe = ingest(args.data, args.reference, neighbor_names, None)
-    periods = _resolve_periods(args.periods, probe.periods_seen)
+    wanted = _regions(args.reference, neighbor_names)
+    rows = list(_read_rows(args.data))    # read once, partitioned per period below
+    periods = _resolve_periods(args.periods, _partition(rows, wanted, None).periods_seen)
     # tilt strings contain commas, so rows are CSV-quoted
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["period", *neighbor_names])
 
     def row(label: str, period_filter: set[str] | None):
-        ing = ingest(args.data, args.reference, neighbor_names, period_filter)
+        ing = _partition(rows, wanted, period_filter)
         tilts = inference.refine_tilts(ing.reference, list(ing.neighbors), args.alpha)
         writer.writerow([label, *(spec.format() for spec in tilts)])
 
@@ -285,11 +297,10 @@ def cmd_threshold(args) -> int:
     ghat = inference.empirical_cdf(ing.reference)
     lines = ["method,T,prob,se,ci_low,ci_high,ci_low_clamped,ci_high_clamped"]
     for method, cdf, source in (("drm", gtilde, fitted), ("empirical", ghat, ing.reference)):
-        for T in thresholds:
-            est = inference.threshold_probability(cdf, source, T, level)
+        for est in inference.threshold_probability(cdf, source, thresholds, level):
             lo_c, hi_c = est.ci_clamped
             lines.append(
-                f"{method},{T:g},{est.prob!r},{est.se!r},"
+                f"{method},{est.T:g},{est.prob!r},{est.se!r},"
                 f"{est.ci[0]!r},{est.ci[1]!r},{lo_c!r},{hi_c!r}"
             )
     _emit("\n".join(lines), args.out)

@@ -259,9 +259,6 @@ class FusedData:
         """True where alpha_k is a free parameter (empty tilts pin alpha_k = 0)."""
         return np.array([spec.r > 0 for _, spec in self.neighbors], dtype=bool)
 
-    def tilt_specs(self) -> tuple[TiltSpec, ...]:
-        return tuple(spec for _, spec in self.neighbors)
-
 
 def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
     """Check model preconditions and assemble the fused dataset.
@@ -280,13 +277,6 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
     for s in samples[1:]:
         if s.role is not Role.NEIGHBOR:
             raise ArityMismatch(f"sample {s.label!r} must have the neighbor role")
-    for s in samples:
-        # Samples enforce this at construction; re-check to be safe.
-        if s.values.size == 0:
-            raise EmptySample(s.label)
-        if not (np.isfinite(s.values).all() and (s.values > 0).all()):
-            bad = int(np.argmax(~(np.isfinite(s.values) & (s.values > 0))))
-            raise NonPositiveValue(s.label, bad, float(s.values[bad]))
 
     n_k = np.array([s.n for s in samples], dtype=float)
     t = _freeze(np.concatenate([s.values for s in samples]))
@@ -384,8 +374,7 @@ class FittedModel:
     loglik: float
     score_norm: float            # inf-norm of the score at theta
     iterations: int
-    converged: bool
-    S: np.ndarray                # (m+r)x(m+r) plug-in information
+    S: np.ndarray                # (m+r)x(m+r) plug-in information, -H/n at theta
     Sigma: np.ndarray            # (m+r)x(m+r) asymptotic covariance of sqrt(n)(theta-theta0)
     data: FusedData
 

@@ -152,39 +152,44 @@ def refine_tilts(
 def threshold_probability(
     cdf: StepCDF,
     source: FittedModel | Sample,
-    T: float,
+    T,
     level: float = 0.95,
-) -> ThresholdEstimate:
-    """Exceedance probability 1 - G(T) with a Wald confidence interval.
+) -> tuple[ThresholdEstimate, ...]:
+    """Exceedance probabilities 1 - G(t) with Wald intervals, one per t in T.
 
-    A FittedModel source uses the fused-data variance sigma(T)/n; a Sample
+    A FittedModel source uses the fused-data variance sigma(t)/n; a Sample
     source uses the binomial Wald variance p(1-p)/n_0. Intervals are reported
     raw (they may cross 0 or 1); see ci_clamped for the truncated version.
     """
     if not 0.0 < level < 1.0:
         raise ArityMismatch(f"confidence level must be in (0, 1), got {level!r}")
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 1:
+        raise ArityMismatch(f"thresholds must be a 1-d sequence, got shape {T.shape}")
     z = float(norm.ppf(0.5 + level / 2.0))
     # cumsum rounding can leave cdf(T) a few ulp outside [0, 1]
-    prob = min(1.0, max(0.0, 1.0 - cdf(T)))
+    prob = np.clip(1.0 - cdf(T), 0.0, 1.0)
     if isinstance(source, FittedModel):
-        bb = asymptotics.blocks(source)
-        sig = asymptotics.sigma_t(source, bb, T)
         n = source.data.n
-        se = float(np.sqrt(sig.value / n))
+        se = np.sqrt(asymptotics.sigma_t(source, T) / n)
         method = "drm"
     elif isinstance(source, Sample):
         n = source.n
-        se = float(np.sqrt(max(prob * (1.0 - prob), 0.0) / n))
+        se = np.sqrt(np.maximum(prob * (1.0 - prob), 0.0) / n)
         method = "empirical"
     else:
         raise ArityMismatch(f"source must be a FittedModel or Sample, got {type(source)!r}")
-    return ThresholdEstimate(
-        T=float(T),
-        prob=float(prob),
-        se=se,
-        ci=(float(prob - z * se), float(prob + z * se)),
-        method=method,
-        n_effective=int(n),
+    # Python floats, so callers' repr() output does not depend on numpy's
+    return tuple(
+        ThresholdEstimate(
+            T=float(t),
+            prob=float(p),
+            se=float(s),
+            ci=(float(p - z * s), float(p + z * s)),
+            method=method,
+            n_effective=int(n),
+        )
+        for t, p, s in zip(T, prob, se)
     )
 
 

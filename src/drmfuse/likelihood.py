@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics
-from ._kernels import fused_weights, log_denominators, softmax_ratios
+from ._kernels import fused_weights, log_denominators, softmax_ratios, tilt_design
 from .core import (
     ArityMismatch,
     FittedModel,
@@ -106,11 +106,7 @@ def _score_hessian(theta: Theta, data: FusedData, want_hessian: bool = True):
 
     # d2 log D / d eta_k d eta_k' is the softmax covariance u_k (delta - u_k'),
     # so H = Psi' Psi - blockdiag(G_k' diag(u_k) G_k) with Psi_i = u_k * (1, h_k).
-    Psi = np.empty((n, p))
-    Psi[:, :m] = U
-    for k in range(m):
-        if data.dims[k]:
-            Psi[:, m + offs[k]:m + offs[k + 1]] = U[:, k][:, None] * data.basis[k]
+    Psi = tilt_design(U, data)
     H = Psi.T @ Psi
     for k in range(m):
         G = np.column_stack([np.ones(n), data.basis[k]])
@@ -142,10 +138,10 @@ def _embed(free_vec: np.ndarray, free_idx: np.ndarray, dims: tuple[int, ...]) ->
 
 
 def _fit_core(data: FusedData, opts: FitOptions):
-    """Newton ascent with step halving; returns (theta, trace, iters, score_norm).
+    """Newton ascent with step halving; returns (theta, loglik, iters, score_norm, H).
 
-    ``trace`` is the sequence of accepted log-likelihood values. A short polish
-    phase pushes the score toward machine precision so the weight and moment
+    ``H`` is the full Hessian at the returned theta. A short polish phase
+    pushes the score toward machine precision so the weight and moment
     constraints hold well inside their tolerances.
     """
     m, n = data.m, data.n
@@ -162,7 +158,6 @@ def _fit_core(data: FusedData, opts: FitOptions):
         theta = Theta.zeros(dims)
 
     l = profile_loglik(theta, data)
-    trace = [l]
     s_full, H_full = _score_hessian(theta, data)
     s = s_full[free_idx]
     H = H_full[np.ix_(free_idx, free_idx)]
@@ -208,7 +203,6 @@ def _fit_core(data: FusedData, opts: FitOptions):
             lam *= 0.5
         if not accepted:
             raise NoConvergence(iterations, sn)
-        trace.append(l)
         iterations += 1
         s_full, H_full = _score_hessian(theta, data)
         s = s_full[free_idx]
@@ -233,7 +227,6 @@ def _fit_core(data: FusedData, opts: FitOptions):
         if l2 < l - 4 * _EPS * max(1.0, abs(l)) or sn2 >= sn:
             break
         theta, l = cand, l2
-        trace.append(l)
         s_full, H_full = s2_full, H2_full
         s = s_full[free_idx]
         H = H_full[np.ix_(free_idx, free_idx)]
@@ -241,30 +234,33 @@ def _fit_core(data: FusedData, opts: FitOptions):
         iterations += 1
 
     score_norm = float(np.max(np.abs(s_full))) if s_full.size else 0.0
-    return theta, trace, iterations, score_norm
+    return theta, l, iterations, score_norm, H_full
 
 
 def fit(data: FusedData, opts: FitOptions | None = None) -> FittedModel:
     """Maximize the profile log-likelihood; returns the fitted model.
 
     Raises NoConvergence if the Newton iteration stalls, SingularHessian for
-    degenerate models (a tilt basis constant over the data).
+    degenerate models (a tilt basis constant over the data), SingularMatrix
+    when S is singular or ill-conditioned.
+
+    The profile log-likelihood is the concave dual of the empirical
+    likelihood, so the plug-in information is S = -H / n at the optimum
+    (Qin 1998, Biometrika 85:619); it is taken from the final Newton Hessian.
     """
     opts = opts or FitOptions()
     _check_degenerate(data)
-    theta, trace, iterations, score_norm = _fit_core(data, opts)
+    theta, loglik, iterations, score_norm, H = _fit_core(data, opts)
     logD, _ = log_denominators(theta, data)
     weights = fused_weights(logD, data)
-    bb = asymptotics.blocks_at(theta, data)
-    S = asymptotics.S_matrix(bb)
-    Sigma = asymptotics.Sigma_matrix(bb, S)
+    S = -H / data.n
+    Sigma = asymptotics.Sigma_matrix(S, data.rho)
     return FittedModel(
         theta=theta,
         weights=weights,
-        loglik=trace[-1],
+        loglik=loglik,
         score_norm=score_norm,
         iterations=iterations,
-        converged=True,
         S=S,
         Sigma=Sigma,
         data=data,

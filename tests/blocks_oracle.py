@@ -1,0 +1,108 @@
+"""Independent oracle for the plug-in covariance: the dense building blocks.
+
+The package takes S from the Newton Hessian and sigma(t) from one sorted
+cumulative pass. This module rebuilds both the long way, from the block
+matrices of their definitions, so tests can compare the two routes:
+
+    S     = (1 / sum_k rho_k) [[rho - rho A rho, rho E' - rho B rhobar],
+                               [  .           ', rhobar Ebar - rhobar C rhobar]]
+    Lambda = score covariance assembled from the same blocks,
+
+and sigma(t) by a masked sum over the fused points at or below each t.
+Population integrals int phi(t) dG(t) are the p-weighted sums over the fused
+data with the tilts plugged in.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from drmfuse._kernels import fused_weights, softmax_ratios
+
+
+def blocks_at(theta, data):
+    """Blocks A (m,m), B (m,r), C (r,r), E (r,m) and Ebar (r,r) at theta, with
+    V = Ebar - E E' on its diagonal blocks; all built from q_k = w_k / D."""
+    m, r, n0 = data.m, data.r, data.n0
+    q, _, _ = softmax_ratios(theta, data)
+    offs = data.beta_offsets
+
+    A = (q.T @ q) / n0
+    B = np.zeros((m, r))
+    C = np.zeros((r, r))
+    E = np.zeros((r, m))
+    Ebar = np.zeros((r, r))
+    V = np.zeros((r, r))
+    for k in range(m):
+        hk = data.basis[k]
+        qk = q[:, k]
+        for kp in range(m):
+            qq = qk * q[:, kp]
+            B[k, offs[kp]:offs[kp + 1]] = (qq @ data.basis[kp]) / n0
+            C[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = (
+                hk.T @ (qq[:, None] * data.basis[kp]) / n0
+            )
+        Ek = (qk @ hk) / n0
+        Ebark = hk.T @ (qk[:, None] * hk) / n0
+        E[offs[k]:offs[k + 1], k] = Ek
+        Ebar[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = Ebark
+        V[offs[k]:offs[k + 1], offs[k]:offs[k + 1]] = Ebark - np.outer(Ek, Ek)
+    return SimpleNamespace(A=A, B=B, C=C, E=E, Ebar=Ebar, V=V, m=m, beta_offsets=offs)
+
+
+def _rho_diags(data):
+    rho = data.rho[1:]
+    return np.diag(rho), np.diag(np.repeat(rho, data.dims)), data.rho.sum()
+
+
+def S_matrix(bb, data):
+    """Plug-in S from the blocks."""
+    rho, rhobar, c = _rho_diags(data)
+    S11 = rho - rho @ bb.A @ rho
+    S12 = rho @ bb.E.T - rho @ bb.B @ rhobar
+    S22 = rhobar @ bb.Ebar - rhobar @ bb.C @ rhobar
+    S = np.block([[S11, S12], [S12.T, S22]]) / c
+    return 0.5 * (S + S.T)
+
+
+def lambda_matrix(bb, data):
+    """Score covariance Lambda from its definition blocks."""
+    rho, rhobar, c = _rho_diags(data)
+    A, B, E, Ebar, C = bb.A, bb.B, bb.E, bb.Ebar, bb.C
+    J = np.ones((bb.m, bb.m))
+    Im = np.eye(bb.m)
+    L11 = rho @ (A - A @ rho @ A - (Im - A @ rho) @ J @ (Im - rho @ A)) @ rho
+    L12 = rho @ (A @ E.T - A @ rho @ B - (Im - A @ rho) @ J @ (E.T - rho @ B)) @ rhobar
+    L22 = (
+        rhobar
+        @ (-C - B.T @ rho @ B - (E - B.T @ rho) @ J @ (E.T - rho @ B)
+           + B.T @ E.T + E @ B)
+        @ rhobar
+        + rhobar @ (Ebar - E @ E.T)
+    )
+    Lam = np.block([[L11, L12], [L12.T, L22]]) / c
+    return 0.5 * (Lam + Lam.T)
+
+
+def sigma_t(fit, t):
+    """sigma(t) at one threshold by masked sums over the fused points, with the
+    S^{-1} quadratic form from a linear solve; negative values clamp to 0."""
+    data = fit.data
+    m, offs = data.m, data.beta_offsets
+    q, logD, _ = softmax_ratios(fit.theta, data)
+    pw = fused_weights(logD, data)
+    rho1 = data.rho[1:]
+
+    ind = data.t <= t
+    G = pw[ind].sum()
+    expnD = np.exp(-logD[ind])
+    Ak = (q[ind] * expnD[:, None]).sum(axis=0) / data.n0
+    a = np.zeros(m + data.r)
+    a[:m] = rho1 * Ak
+    for k in range(m):
+        Bk = ((q[ind, k] * expnD) @ data.basis[k][ind]) / data.n0
+        a[m + offs[k]:m + offs[k + 1]] = rho1[k] * Bk
+    value = data.rho.sum() * (G - G * G - rho1 @ Ak)
+    if a.size:
+        value += a @ np.linalg.solve(fit.S, a)
+    return max(float(value), 0.0)

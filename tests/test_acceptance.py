@@ -22,7 +22,6 @@ from drmfuse import (
     SimConfig,
     Theta,
     TiltSpec,
-    blocks,
     chi_square_beta_test,
     drm_cdf,
     empirical_cdf,
@@ -135,8 +134,8 @@ def test_criterion_2_wald_reference_rows():
 
     ok = True
     mismatches = []
-    for (T, prob_p, lo_p, hi_p) in WALD_REFERENCE_ROWS:
-        est = threshold_probability(cdf, sample, T, level=0.95)
+    estimates = threshold_probability(cdf, sample, thresholds, level=0.95)
+    for (T, prob_p, lo_p, hi_p), est in zip(WALD_REFERENCE_ROWS, estimates):
         # the prob reconstructs the reference exceedance count exactly
         if round(est.prob * n0) != round(prob_p * n0):
             ok = False
@@ -166,12 +165,12 @@ def test_criterion_3_coverage_and_width():
         model = fit(validate([ref, g, ln], REFINED))
         gtilde = drm_cdf(model)
         ghat = empirical_cdf(ref)
-        for t in tvals:
-            est = threshold_probability(gtilde, model, t, level=0.95)
+        drm = threshold_probability(gtilde, model, tvals, level=0.95)
+        emp = threshold_probability(ghat, ref, tvals, level=0.95)
+        for t, est, est_emp in zip(tvals, drm, emp):
             cover[t] += est.ci[0] <= truth[t] <= est.ci[1]
             width_drm[t] += est.ci[1] - est.ci[0]
-            emp = threshold_probability(ghat, ref, t, level=0.95)
-            width_emp[t] += emp.ci[1] - emp.ci[0]
+            width_emp[t] += est_emp.ci[1] - est_emp.ci[0]
     rates = {t: cover[t] / reps for t in tvals}
     widths_ok = all(width_drm[t] <= width_emp[t] for t in tvals)
     coverage_ok = all(0.92 <= rates[t] <= 0.98 for t in tvals)
@@ -293,11 +292,8 @@ def normality_mc():
         model = fit(data)
         thetas[i] = model.theta.flat
         Sigma_sum += model.Sigma
-        bb = blocks(model)
-        cdf = drm_cdf(model)
-        for j, t in enumerate(TVALS):
-            gvals[i, j] = cdf(t)
-            sigma_sum[j] += sigma_t(model, bb, t).value
+        gvals[i] = drm_cdf(model)(TVALS)
+        sigma_sum += sigma_t(model, TVALS)
     n = 2 * n0
     return {
         "emp_cov": np.cov((np.sqrt(n) * (thetas - THETA0)).T),

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from drmfuse import (
-    S_matrix,
     Sample,
     Sigma_matrix,
     SingularMatrix,
     Theta,
     TiltSpec,
-    blocks,
     fit,
+    hessian,
     sigma_t,
     validate,
 )
-from drmfuse.asymptotics import blocks_at, lambda_matrix
 
+import blocks_oracle as oracle
 from conftest import make_fused, make_pair
 
 
@@ -28,7 +27,7 @@ def _equidistributed_pair(rng, n0=400, n1=300, tilt="x"):
 
 def test_blocks_equidistributed_A_closed_form(rng):
     data = _equidistributed_pair(rng)
-    bb = blocks_at(Theta.zeros(data.dims), data)
+    bb = oracle.blocks_at(Theta.zeros(data.dims), data)
     rho1 = data.rho[1]
     assert bb.A[0, 0] == pytest.approx(1.0 / (1.0 + rho1), abs=1e-10)
 
@@ -38,14 +37,14 @@ def test_blocks_E_zero_for_log_tilt_on_unit_data():
         [Sample.reference("r", np.ones(10)), Sample.neighbor("n", np.ones(6))],
         [TiltSpec.parse("logx")],
     )
-    bb = blocks_at(Theta.zeros(data.dims), data)
+    bb = oracle.blocks_at(Theta.zeros(data.dims), data)
     assert np.allclose(bb.E, 0.0)
     assert np.allclose(bb.Ebar, 0.0)
 
 
 def test_blocks_invariants(rng):
     model = fit(make_fused(rng, sizes=(300, 250, 200)))
-    bb = blocks(model)
+    bb = oracle.blocks_at(model.theta, model.data)
     assert np.allclose(bb.A, bb.A.T, atol=1e-12)
     assert np.allclose(bb.C, bb.C.T, atol=1e-12)
     # each V_k symmetric PSD
@@ -69,7 +68,7 @@ def test_blocks_match_direct_monte_carlo_integrals():
     nb2 = Sample.neighbor("exp15", rng.exponential(1.0 / 1.5, n))
     data = validate([ref, nb1, nb2], [TiltSpec.parse("x"), TiltSpec.parse("x")])
     model = fit(data)
-    bb = blocks(model)
+    bb = oracle.blocks_at(model.theta, data)
 
     x = np.random.default_rng(171717).exponential(1.0, 100_000)
     w = np.column_stack([0.8 * np.exp(0.2 * x), 1.5 * np.exp(-0.5 * x)])
@@ -88,24 +87,26 @@ def test_plugin_consistency_at_exact_zero(rng):
     # theta = 0 exactly: A_{kk'} all equal 1/sum(rho); S has the moment closed form
     data = _equidistributed_pair(rng, n0=500, n1=250, tilt="x")
     theta = Theta.zeros(data.dims)
-    bb = blocks_at(theta, data)
+    bb = oracle.blocks_at(theta, data)
     c = data.rho.sum()
     assert np.max(np.abs(bb.A - 1.0 / c)) < 1e-10
-    S = S_matrix(bb)
     pw = np.full(data.n, 1.0 / (data.n0 * c))
     mu = float(pw @ data.t)
     m2 = float(pw @ (data.t * data.t))
     rho1 = data.rho[1]
     closed = (rho1 / c**2) * np.array([[1.0, mu], [mu, m2]])
-    assert np.max(np.abs(S - closed)) < 1e-10
+    assert np.max(np.abs(oracle.S_matrix(bb, data) - closed)) < 1e-10
+    assert np.max(np.abs(-hessian(theta, data) / data.n - closed)) < 1e-10
 
 
 def test_S_equals_minus_hessian_over_n_at_optimum(rng):
-    from drmfuse import hessian
-    data = make_fused(rng, sizes=(300, 260, 220))
-    model = fit(data)
-    H = hessian(model.theta, data)
-    assert np.max(np.abs(model.S - (-H / data.n))) < 1e-10 * np.abs(model.S).max()
+    # fit.S is -H/n from the final Newton iterate; the oracle builds S from
+    # the plug-in blocks of its definition. The second fixture has an empty tilt.
+    for tilts in [("x,logx,log2x", "x,log2x"), ("x,logx", "-")]:
+        data = make_fused(rng, sizes=(300, 260, 220), tilts=tilts)
+        model = fit(data)
+        S_blocks = oracle.S_matrix(oracle.blocks_at(model.theta, data), data)
+        assert np.max(np.abs(model.S - S_blocks)) < 1e-10 * np.abs(model.S).max()
 
 
 def test_S_positive_definite_on_fixtures(rng):
@@ -116,12 +117,10 @@ def test_S_positive_definite_on_fixtures(rng):
 
 def test_sigma_two_route_equality(rng):
     model = fit(make_fused(rng, sizes=(350, 300, 250)))
-    bb = blocks(model)
-    S = S_matrix(bb)
-    lam = lambda_matrix(bb)
-    Sinv = np.linalg.inv(S)
-    sandwich = Sinv @ lam @ Sinv
-    closed = Sigma_matrix(bb, S)
+    bb = oracle.blocks_at(model.theta, model.data)
+    Sinv = np.linalg.inv(oracle.S_matrix(bb, model.data))
+    sandwich = Sinv @ oracle.lambda_matrix(bb, model.data) @ Sinv
+    closed = model.Sigma
     assert np.max(np.abs(sandwich - closed)) < 1e-8
     assert np.max(np.abs(closed - closed.T)) < 1e-10
 
@@ -141,36 +140,50 @@ def test_sigma_beta_variance_scales_with_units(rng):
 
 def test_sigma_matrix_rejects_ill_conditioned(rng):
     model = fit(make_pair(rng, tilt="x"))
-    bb = blocks(model)
     bad = np.diag([1.0, 1e-14])
     with pytest.raises(SingularMatrix):
-        Sigma_matrix(bb, bad)
+        Sigma_matrix(bad, model.data.rho)
+    with pytest.raises(SingularMatrix):
+        Sigma_matrix(np.diag([1.0, -1e-3]), model.data.rho)
 
 
 def test_sigma_t_boundaries(rng):
     model = fit(make_fused(rng, sizes=(200, 150, 120)))
-    bb = blocks(model)
-    below = sigma_t(model, bb, float(model.data.t.min()) / 2.0)
-    assert below.value == 0.0
-    above = sigma_t(model, bb, float(model.data.t.max()) * 2.0)
-    assert np.isfinite(above.value) and above.value >= 0.0
+    below, above = sigma_t(model, [model.data.t.min() / 2.0, model.data.t.max() * 2.0])
+    assert below == 0.0
+    assert np.isfinite(above) and above >= 0.0
 
 
 def test_sigma_t_piecewise_constant(rng):
     model = fit(make_fused(rng, sizes=(80, 70, 60)))
-    bb = blocks(model)
     pts = np.sort(np.unique(model.data.t))[:12]
-    for left, right in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (left + right)
-        assert sigma_t(model, bb, mid).value == pytest.approx(
-            sigma_t(model, bb, float(left)).value, abs=1e-14
-        )
+    at_left = sigma_t(model, pts[:-1])
+    at_mid = sigma_t(model, 0.5 * (pts[:-1] + pts[1:]))
+    assert np.allclose(at_mid, at_left, rtol=0.0, atol=1e-14)
 
 
 def test_sigma_t_no_neighbors_is_binomial(rng):
     data = validate([Sample.reference("r", rng.exponential(1.0, 500))], [])
     model = fit(data)
-    bb = blocks(model)
     t = float(np.median(data.t))
     G = float((data.t <= t).mean())
-    assert sigma_t(model, bb, t).value == pytest.approx(G * (1 - G), rel=1e-12)
+    assert sigma_t(model, [t])[0] == pytest.approx(G * (1 - G), rel=1e-12)
+
+
+@pytest.mark.parametrize("tilts", [("x,logx,log2x", "x,log2x"), ("logx", "-")])
+def test_sigma_t_matches_oracle_at_every_fused_point(rng, tilts):
+    # Values rounded to 0.05 give heavy ties; sigma(t) is evaluated at every
+    # distinct fused point, where the right-continuous sums jump.
+    data = make_fused(rng, sizes=(150, 120, 100), tilts=tilts)
+    tied = validate(
+        [Sample.reference("r", np.round(data.reference.values, 2) + 0.05)]
+        + [Sample.neighbor(s.label, np.round(s.values, 2) + 0.05)
+           for s, _ in data.neighbors],
+        [spec for _, spec in data.neighbors],
+    )
+    model = fit(tied)
+    pts = np.unique(tied.t)
+    assert pts.size < tied.n
+    got = sigma_t(model, pts)
+    want = np.array([oracle.sigma_t(model, t) for t in pts])
+    assert np.max(np.abs(got - want)) <= 1e-10 * want.max()

@@ -114,6 +114,17 @@ def test_ingest_parse_errors(tmp_path):
         ingest(str(bad_arity), "Beaver", [], None)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_a_parse_error(tmp_path, capsys, raw):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"region,period,value\nBeaver,p,2.0\nButler,p,1.5\nBeaver,p,{raw}\n")
+    with pytest.raises(ParseError) as exc:
+        ingest(str(path), "Beaver", ["Butler"], None)
+    assert exc.value.line_no == 4
+    assert main(["fit", str(path), "--reference", "Beaver", "--neighbors", "Butler"]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_roundtrip_write_then_ingest(tmp_path, radon_csv):
     res = ingest(radon_csv, "Beaver", ["Butler"], None)
     data = validate(res.samples(), [TiltSpec.parse("x,logx")])
@@ -165,6 +176,21 @@ def test_cmd_refine_table_shape(radon_csv, capsys):
     assert parsed[0] == ["period", "Butler", "Allegheny"]
     assert [row[0] for row in parsed[1:]] == ["89-93", "94-98", "pooled"]
     assert all(len(row) == 3 for row in parsed[1:])
+
+
+def test_cmd_refine_reads_the_file_once(radon_csv, capsys, monkeypatch):
+    import drmfuse.cli as cli
+    reads = []
+    read_rows = cli._read_rows
+
+    def counting(path):
+        reads.append(path)
+        return read_rows(path)
+
+    monkeypatch.setattr(cli, "_read_rows", counting)
+    assert main(["refine", *_flags(radon_csv)]) == 0
+    assert reads == [radon_csv]
+    assert main(["refine", *_flags(radon_csv, "--periods", "12-34")]) == 2
 
 
 def test_cmd_threshold_block_shape(radon_csv, capsys):

@@ -141,3 +141,9 @@ def test_core_arrays_are_immutable():
     data = validate([ref], [])
     with pytest.raises(ValueError):
         data.t[0] = 9.0
+
+
+def test_public_names_resolve():
+    import drmfuse
+    missing = [name for name in drmfuse.__all__ if not hasattr(drmfuse, name)]
+    assert missing == []

@@ -184,7 +184,7 @@ def test_refine_alpha_level_validation(rng):
 def test_threshold_below_all_data_degenerate_wald(rng):
     sample = Sample.reference("r", rng.uniform(5.0, 9.0, 60))
     cdf = empirical_cdf(sample)
-    est = threshold_probability(cdf, sample, 1.0)
+    (est,) = threshold_probability(cdf, sample, [1.0])
     assert est.prob == 1.0
     assert est.se == 0.0
     assert est.ci == (1.0, 1.0)
@@ -196,7 +196,7 @@ def test_threshold_wald_matches_reference_interval():
     count = 2
     values = np.concatenate([np.full(n0 - count, 1.0), np.full(count, 250.0)])
     sample = Sample.reference("beaver", values)
-    est = threshold_probability(empirical_cdf(sample), sample, 200.0, level=0.95)
+    (est,) = threshold_probability(empirical_cdf(sample), sample, [200.0], level=0.95)
     assert f"{est.ci[0]:.4g}" == "-0.0001039"
     assert f"{est.ci[1]:.4g}" == "0.0006426"
     lo_c, hi_c = est.ci_clamped
@@ -207,8 +207,7 @@ def test_threshold_drm_monotone_and_symmetric(rng):
     model = fit(make_fused(rng, sizes=(300, 250, 200)))
     cdf = drm_cdf(model)
     probs = []
-    for T in (0.25, 0.5, 1.0, 2.0):
-        est = threshold_probability(cdf, model, T)
+    for est in threshold_probability(cdf, model, (0.25, 0.5, 1.0, 2.0)):
         probs.append(est.prob)
         assert est.method == "drm"
         assert est.n_effective == model.data.n
@@ -220,9 +219,11 @@ def test_threshold_drm_monotone_and_symmetric(rng):
 def test_threshold_source_type_check(rng):
     model = fit(make_pair(rng))
     with pytest.raises(ArityMismatch):
-        threshold_probability(drm_cdf(model), "nonsense", 1.0)
+        threshold_probability(drm_cdf(model), "nonsense", [1.0])
     with pytest.raises(ArityMismatch):
-        threshold_probability(drm_cdf(model), model, 1.0, level=1.5)
+        threshold_probability(drm_cdf(model), model, [1.0], level=1.5)
+    with pytest.raises(ArityMismatch):
+        threshold_probability(drm_cdf(model), model, 1.0)
 
 
 # ---------------------------------------------------------------------------

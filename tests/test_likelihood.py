@@ -172,7 +172,7 @@ def test_fit_no_neighbors_gives_uniform_weights():
     data = validate([Sample.reference("r", [1.0, 2.0, 5.0])], [])
     model = fit(data)
     assert np.allclose(model.weights, 1.0 / 3.0)
-    assert model.converged and model.iterations == 0
+    assert model.iterations == 0
 
 
 def test_fit_identical_copies_recovers_zero():
@@ -212,10 +212,25 @@ def test_fit_constraints_hold_at_optimum(rng):
     assert model.score_norm <= 1e-8 * data.n
 
 
-def test_fit_monotone_ascent(rng):
+def test_fit_monotone_ascent(rng, monkeypatch):
+    # The fitter evaluates score and Hessian at every accepted iterate, and
+    # otherwise only at float-stationary or polish candidates. Up to the last
+    # evaluation at the returned theta, the log-likelihood never drops by more
+    # than the float-stationary tolerance of the acceptance rule.
+    from drmfuse import likelihood
     data = make_fused(rng, sizes=(150, 120, 100))
-    _, trace, _, _ = _fit_core(data, FitOptions())
-    trace = np.asarray(trace)
+    visited = []
+    score_hessian = likelihood._score_hessian
+
+    def recording(theta, data, want_hessian=True):
+        visited.append(theta)
+        return score_hessian(theta, data, want_hessian)
+
+    monkeypatch.setattr(likelihood, "_score_hessian", recording)
+    theta = _fit_core(data, FitOptions())[0]
+    last = max(i for i, th in enumerate(visited) if th is theta)
+    trace = np.array([profile_loglik(th, data) for th in visited[:last + 1]])
+    assert trace.size > 2
     tol = 4 * EPS * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -tol)
 
