@@ -3,13 +3,14 @@
 Everything here works in log space: tilt exponents can be huge for large
 measurements (exp(beta * log^2 x) overflows quickly), but the softmax-like
 ratios q_k = w_k / sum_u rho_u w_u are bounded above by 1/rho_k, so all
-downstream quantities are formed from exponent differences.
+downstream quantities are formed from exponent differences. The
+log-denominator shifts every row by its largest exponent before
+exponentiating, so no exponential exceeds 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import FusedData, NonFinite, Theta
 
@@ -27,13 +28,17 @@ def eta_matrix(theta: Theta, data: FusedData) -> np.ndarray:
 def log_denominators(theta: Theta, data: FusedData) -> tuple[np.ndarray, np.ndarray]:
     """(logD, eta) with logD_i = log sum_{k=0}^m rho_k w_k(t_i), w_0 = 1.
 
-    Uses max-subtraction (logsumexp), so w_k never materializes raw.
+    Each row is shifted by mx_i = max(0, max_k eta_ik), so w_k never
+    materializes raw: logD = mx + log(exp(-mx) + exp(eta - mx) @ rho[1:]),
+    written with log1p/expm1 so that logD near 0 keeps full relative precision.
     """
     eta = eta_matrix(theta, data)
     if not np.isfinite(eta).all():
         raise NonFinite("tilt exponents")
-    full = np.column_stack([np.zeros(data.n), eta])
-    logD = logsumexp(full, axis=1, b=np.broadcast_to(data.rho, full.shape))
+    if not data.m:  # max over an empty axis raises; D = rho_0 = 1
+        return np.zeros(data.n), eta
+    mx = np.maximum(eta.max(axis=1), 0.0)
+    logD = mx + np.log1p(np.expm1(-mx) + np.exp(eta - mx[:, None]) @ data.rho[1:])
     return logD, eta
 
 

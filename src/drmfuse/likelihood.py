@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics
-from ._kernels import fused_weights, log_denominators, softmax_ratios, tilt_design
+from ._kernels import fused_weights, log_denominators, tilt_design
 from .core import (
     ArityMismatch,
     FittedModel,
@@ -61,7 +61,12 @@ def _check_theta(theta: Theta, data: FusedData):
 def profile_loglik(theta: Theta, data: FusedData) -> float:
     """l(theta); raises NonFinite if tilt exponents are not finite."""
     _check_theta(theta, data)
-    logD, _ = log_denominators(theta, data)
+    return _loglik_parts(theta, data)[0]
+
+
+def _loglik_parts(theta: Theta, data: FusedData):
+    """(l, logD, eta) at theta, from one pass over the tilt exponents."""
+    logD, eta = log_denominators(theta, data)
     lin = 0.0
     for k in range(data.m):
         lin += data.n_k[k + 1] * theta.alpha[k]
@@ -70,28 +75,31 @@ def profile_loglik(theta: Theta, data: FusedData) -> float:
     value = float(-np.sum(logD) - data.n * np.log(data.n0) + lin)
     if not np.isfinite(value):
         raise NonFinite("profile log-likelihood")
-    return value
+    return value, logD, eta
 
 
 def score(theta: Theta, data: FusedData) -> np.ndarray:
     """Gradient of l, length m + r (alpha block, then beta blocks)."""
     _check_theta(theta, data)
-    s, _ = _score_hessian(theta, data, want_hessian=False)
+    logD, eta = log_denominators(theta, data)
+    s, _ = _score_hessian(eta, logD, data, want_hessian=False)
     return s
 
 
 def hessian(theta: Theta, data: FusedData) -> np.ndarray:
     """Exact second derivative of l, (m+r)x(m+r), symmetric and <= 0."""
     _check_theta(theta, data)
-    _, H = _score_hessian(theta, data, want_hessian=True)
+    logD, eta = log_denominators(theta, data)
+    _, H = _score_hessian(eta, logD, data, want_hessian=True)
     return H
 
 
-def _score_hessian(theta: Theta, data: FusedData, want_hessian: bool = True):
-    m, r, n = data.m, data.r, data.n
+def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData,
+                   want_hessian: bool = True):
+    """(s, H) from the tilt exponents and log-denominators of one theta."""
+    m, r = data.m, data.r
     p = m + r
-    q, logD, eta = softmax_ratios(theta, data)
-    U = data.rho[1:] * q                      # u_{ik} = rho_k w_k / D, in (0, 1)
+    U = data.rho[1:] * np.exp(eta - logD[:, None])   # u_{ik} = rho_k w_k / D, in (0, 1)
     offs = data.beta_offsets
 
     s = np.empty(p)
@@ -105,14 +113,14 @@ def _score_hessian(theta: Theta, data: FusedData, want_hessian: bool = True):
         return s, None
 
     # d2 log D / d eta_k d eta_k' is the softmax covariance u_k (delta - u_k'),
-    # so H = Psi' Psi - blockdiag(G_k' diag(u_k) G_k) with Psi_i = u_k * (1, h_k).
+    # so H = Psi' Psi - blockdiag(G_k' diag(u_k) G_k) with G_k = (1, h_k) and
+    # Psi_i = u_k * (1, h_k); the block is G_k' Psi[:, idx_k].
     Psi = tilt_design(U, data)
     H = Psi.T @ Psi
     for k in range(m):
-        G = np.column_stack([np.ones(n), data.basis[k]])
-        blk = G.T @ (U[:, k][:, None] * G)
         idx = np.r_[k, m + offs[k]:m + offs[k + 1]]
-        H[np.ix_(idx, idx)] -= blk
+        cols = Psi[:, idx]
+        H[np.ix_(idx, idx)] -= np.vstack([cols.sum(axis=0), data.basis[k].T @ cols])
     H = 0.5 * (H + H.T)   # exact symmetry despite BLAS rounding
     if not np.isfinite(H).all():
         raise NonFinite("hessian")
@@ -138,11 +146,14 @@ def _embed(free_vec: np.ndarray, free_idx: np.ndarray, dims: tuple[int, ...]) ->
 
 
 def _fit_core(data: FusedData, opts: FitOptions):
-    """Newton ascent with step halving; returns (theta, loglik, iters, score_norm, H).
+    """Newton ascent with step halving.
 
-    ``H`` is the full Hessian at the returned theta. A short polish phase
-    pushes the score toward machine precision so the weight and moment
-    constraints hold well inside their tolerances.
+    Returns (theta, loglik, iters, score_norm, H, logD), with the full Hessian
+    and the log-denominators at the returned theta. Each candidate costs one
+    pass over the tilt exponents; score and Hessian are derived from it only
+    when the candidate can be accepted. A short polish phase pushes the score
+    toward machine precision so the weight and moment constraints hold well
+    inside their tolerances.
     """
     m, n = data.m, data.n
     dims = data.dims
@@ -157,8 +168,8 @@ def _fit_core(data: FusedData, opts: FitOptions):
     else:
         theta = Theta.zeros(dims)
 
-    l = profile_loglik(theta, data)
-    s_full, H_full = _score_hessian(theta, data)
+    l, logD, eta = _loglik_parts(theta, data)
+    s_full, H_full = _score_hessian(eta, logD, data)
     s = s_full[free_idx]
     H = H_full[np.ix_(free_idx, free_idx)]
     iterations = 0
@@ -182,29 +193,23 @@ def _fit_core(data: FusedData, opts: FitOptions):
         for _ in range(opts.step_halving_max):
             cand = _embed(theta.flat[free_idx] + lam * d, free_idx, dims)
             try:
-                l2 = profile_loglik(cand, data)
+                l2, logD2, eta2 = _loglik_parts(cand, data)
             except NonFinite:
                 lam *= 0.5
                 continue
-            if l2 > l:
-                theta, l = cand, l2
-                accepted = True
-                break
             if l2 >= l - 4 * _EPS * max(1.0, abs(l)):
-                # l is float-stationary; accept if the step still shrinks the score
-                s2_full, H2_full = _score_hessian(cand, data)
-                if np.max(np.abs(s2_full[free_idx])) < sn:
-                    theta, l = cand, l2
+                # an ascent is accepted; a float-stationary l only if the step
+                # still shrinks the score
+                s2_full, H2_full = _score_hessian(eta2, logD2, data)
+                if l2 > l or np.max(np.abs(s2_full[free_idx])) < sn:
+                    theta, l, logD = cand, l2, logD2
                     s_full, H_full = s2_full, H2_full
-                    s = s_full[free_idx]
-                    H = H_full[np.ix_(free_idx, free_idx)]
                     accepted = True
                     break
             lam *= 0.5
         if not accepted:
             raise NoConvergence(iterations, sn)
         iterations += 1
-        s_full, H_full = _score_hessian(theta, data)
         s = s_full[free_idx]
         H = H_full[np.ix_(free_idx, free_idx)]
         sn = float(np.max(np.abs(s)))
@@ -219,14 +224,14 @@ def _fit_core(data: FusedData, opts: FitOptions):
             break
         cand = _embed(theta.flat[free_idx] + d, free_idx, dims)
         try:
-            l2 = profile_loglik(cand, data)
-            s2_full, H2_full = _score_hessian(cand, data)
+            l2, logD2, eta2 = _loglik_parts(cand, data)
+            s2_full, H2_full = _score_hessian(eta2, logD2, data)
         except NonFinite:
             break
         sn2 = float(np.max(np.abs(s2_full[free_idx])))
         if l2 < l - 4 * _EPS * max(1.0, abs(l)) or sn2 >= sn:
             break
-        theta, l = cand, l2
+        theta, l, logD = cand, l2, logD2
         s_full, H_full = s2_full, H2_full
         s = s_full[free_idx]
         H = H_full[np.ix_(free_idx, free_idx)]
@@ -234,7 +239,7 @@ def _fit_core(data: FusedData, opts: FitOptions):
         iterations += 1
 
     score_norm = float(np.max(np.abs(s_full))) if s_full.size else 0.0
-    return theta, l, iterations, score_norm, H_full
+    return theta, l, iterations, score_norm, H_full, logD
 
 
 def fit(data: FusedData, opts: FitOptions | None = None) -> FittedModel:
@@ -250,8 +255,7 @@ def fit(data: FusedData, opts: FitOptions | None = None) -> FittedModel:
     """
     opts = opts or FitOptions()
     _check_degenerate(data)
-    theta, loglik, iterations, score_norm, H = _fit_core(data, opts)
-    logD, _ = log_denominators(theta, data)
+    theta, loglik, iterations, score_norm, H, logD = _fit_core(data, opts)
     weights = fused_weights(logD, data)
     S = -H / data.n
     Sigma = asymptotics.Sigma_matrix(S, data.rho)

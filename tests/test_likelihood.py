@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import logsumexp
 
 from drmfuse import (
     ArityMismatch,
     NoConvergence,
+    NonFinite,
     Sample,
     SingularHessian,
     Theta,
@@ -18,6 +20,7 @@ from drmfuse import (
     tilt_value,
     validate,
 )
+from drmfuse import _kernels
 from drmfuse.likelihood import FitOptions, _fit_core
 
 from conftest import make_fused, make_pair
@@ -78,6 +81,36 @@ def test_loglik_dimension_mismatch(rng):
     data = make_pair(rng)
     with pytest.raises(ArityMismatch):
         profile_loglik(Theta.zeros((2,)), data)
+
+
+# ---------------------------------------------------------------------------
+# log_denominators: scipy's logsumexp as the oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tilts", [("x,logx,log2x", "x,log2x"), ("", "logx"), ()])
+def test_log_denominators_match_logsumexp(rng, monkeypatch, tilts):
+    # exponents up to +-700 (a separated-support fit reaches them), rows all
+    # far below 0, rows near 0, unequal rho, an empty tilt and m = 0
+    samples = [Sample.reference("r", rng.exponential(1.0, 400))]
+    samples += [Sample.neighbor(f"n{k}", rng.exponential(1.0, 150 + 170 * k))
+                for k in range(len(tilts))]
+    data = validate(samples, [TiltSpec.parse(t) if t else TiltSpec(()) for t in tilts])
+    eta = rng.uniform(-700.0, 700.0, (data.n, data.m))
+    eta[:100] = rng.uniform(-700.0, -1.0, (100, data.m))
+    eta[100:200] = rng.uniform(-1e-3, 1e-3, (100, data.m))
+    monkeypatch.setattr(_kernels, "eta_matrix", lambda theta, data: eta)
+    logD, got = _kernels.log_denominators(Theta.zeros(data.dims), data)
+    assert got is eta
+    full = np.column_stack([np.zeros(data.n), eta])
+    ref = logsumexp(full, axis=1, b=np.broadcast_to(data.rho, full.shape))
+    assert np.all(np.abs(logD - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_log_denominators_reject_non_finite_exponents(rng):
+    data = make_pair(rng, tilt="x")
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFinite, match="tilt exponents"):
+            _kernels.log_denominators(Theta(np.array([bad]), (np.array([0.0]),)), data)
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +246,49 @@ def test_fit_constraints_hold_at_optimum(rng):
 
 
 def test_fit_monotone_ascent(rng, monkeypatch):
-    # The fitter evaluates score and Hessian at every accepted iterate, and
+    # The fitter derives score and Hessian at every accepted iterate, and
     # otherwise only at float-stationary or polish candidates. Up to the last
-    # evaluation at the returned theta, the log-likelihood never drops by more
+    # derivation at the returned theta, the log-likelihood never drops by more
     # than the float-stationary tolerance of the acceptance rule.
     from drmfuse import likelihood
     data = make_fused(rng, sizes=(150, 120, 100))
-    visited = []
-    score_hessian = likelihood._score_hessian
+    evaluated, visited = [], []
+    loglik_parts, score_hessian = likelihood._loglik_parts, likelihood._score_hessian
 
-    def recording(theta, data, want_hessian=True):
-        visited.append(theta)
-        return score_hessian(theta, data, want_hessian)
+    def recording_loglik(theta, data):
+        out = loglik_parts(theta, data)
+        evaluated.append((out[2], theta))
+        return out
 
-    monkeypatch.setattr(likelihood, "_score_hessian", recording)
+    def recording_derivatives(eta, logD, data, want_hessian=True):
+        visited.append(next(th for e, th in evaluated if e is eta))
+        return score_hessian(eta, logD, data, want_hessian)
+
+    monkeypatch.setattr(likelihood, "_loglik_parts", recording_loglik)
+    monkeypatch.setattr(likelihood, "_score_hessian", recording_derivatives)
     theta = _fit_core(data, FitOptions())[0]
     last = max(i for i, th in enumerate(visited) if th is theta)
     trace = np.array([profile_loglik(th, data) for th in visited[:last + 1]])
     assert trace.size > 2
     tol = 4 * EPS * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -tol)
+
+
+def test_fit_evaluates_the_exponents_once_per_candidate(rng, monkeypatch):
+    # one pass over the tilt exponents per Newton candidate (this fixture
+    # needs no step halving), none to rederive an accepted iterate or the weights
+    data = make_fused(rng, sizes=(250, 200, 150))
+    calls = []
+    eta_matrix = _kernels.eta_matrix
+
+    def counting(theta, data):
+        calls.append(theta)
+        return eta_matrix(theta, data)
+
+    monkeypatch.setattr(_kernels, "eta_matrix", counting)
+    model = fit(data)
+    assert model.iterations > 2
+    assert len(calls) <= model.iterations + 2
 
 
 def test_fit_label_equivariance(rng):
