@@ -5,7 +5,9 @@ measurements (exp(beta * log^2 x) overflows quickly), but the softmax-like
 ratios q_k = w_k / sum_u rho_u w_u are bounded above by 1/rho_k, so all
 downstream quantities are formed from exponent differences. The
 log-denominator shifts every row by its largest exponent before
-exponentiating, so no exponential exceeds 1.
+exponentiating, so no exponential exceeds 1. The (n, m) and (n, m + r)
+arrays are column-major, because numpy reduces a C-order array along its
+short axis one row at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .core import FusedData, NonFinite, Theta
 
 def eta_matrix(theta: Theta, data: FusedData) -> np.ndarray:
     """Log tilt values eta[:, k] = alpha_k + h_k(t)^T beta_k, shape (n, m)."""
-    eta = np.empty((data.n, data.m))
+    eta = np.empty((data.n, data.m), order="F")
     for k in range(data.m):
         eta[:, k] = theta.alpha[k]
         if theta.beta[k].size:
@@ -38,7 +40,8 @@ def log_denominators(theta: Theta, data: FusedData) -> tuple[np.ndarray, np.ndar
     if not data.m:  # max over an empty axis raises; D = rho_0 = 1
         return np.zeros(data.n), eta
     mx = np.maximum(eta.max(axis=1), 0.0)
-    logD = mx + np.log1p(np.expm1(-mx) + np.exp(eta - mx[:, None]) @ data.rho[1:])
+    tail = np.dot(np.exp(eta - mx[:, None]), data.rho[1:])   # @ skips BLAS when m = 1
+    logD = mx + np.log1p(np.expm1(-mx) + tail)
     return logD, eta
 
 
@@ -55,7 +58,7 @@ def tilt_design(U: np.ndarray, data: FusedData) -> np.ndarray:
     ``U[:, k] = rho_k w_k / D``; the beta blocks follow ``data.beta_offsets``.
     """
     m, offs = data.m, data.beta_offsets
-    Psi = np.empty((data.n, m + data.r))
+    Psi = np.empty((data.n, m + data.r), order="F")
     Psi[:, :m] = U
     for k in range(m):
         if data.dims[k]:

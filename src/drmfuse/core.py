@@ -108,7 +108,7 @@ class Basis(enum.Enum):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.asfortranarray(a, dtype=float)   # 2-d designs are read by column
     a.flags.writeable = False
     return a
 
@@ -193,19 +193,18 @@ GLOBAL_TILT = TiltSpec((Basis.IDENTITY, Basis.LOG, Basis.LOGSQ))
 
 
 def basis_matrix(values: np.ndarray, spec: TiltSpec) -> np.ndarray:
-    """Evaluate a tilt's basis functions at each value; shape (len(values), r)."""
-    if spec.r == 0:
-        return np.empty((values.size, 0))
+    """Evaluate a tilt's basis functions at each value; shape (len(values), r),
+    column-major."""
+    out = np.empty((values.size, spec.r), order="F")
     logs = np.log(values)
-    cols = []
-    for b in spec.basis:
+    for j, b in enumerate(spec.basis):
         if b is Basis.IDENTITY:
-            cols.append(values)
+            out[:, j] = values
         elif b is Basis.LOG:
-            cols.append(logs)
+            out[:, j] = logs
         else:
-            cols.append(logs * logs)
-    return np.column_stack(cols)
+            out[:, j] = logs * logs
+    return out
 
 
 # ---------------------------------------------------------------------------

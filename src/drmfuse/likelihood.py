@@ -97,30 +97,28 @@ def hessian(theta: Theta, data: FusedData) -> np.ndarray:
 def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData,
                    want_hessian: bool = True):
     """(s, H) from the tilt exponents and log-denominators of one theta."""
-    m, r = data.m, data.r
-    p = m + r
+    m, offs = data.m, data.beta_offsets
     U = data.rho[1:] * np.exp(eta - logD[:, None])   # u_{ik} = rho_k w_k / D, in (0, 1)
-    offs = data.beta_offsets
-
-    s = np.empty(p)
-    s[:m] = data.n_k[1:] - U.sum(axis=0)
-    for k in range(m):
-        if data.dims[k]:
-            s[m + offs[k]:m + offs[k + 1]] = data.suff[k] - U[:, k] @ data.basis[k]
+    # Psi_i = (u_1, ..., u_m, u_1 h_1', ..., u_m h_m'); the score is the
+    # observed (n_k, suff_k) minus its column sums
+    Psi = tilt_design(U, data)
+    colsum = Psi.sum(axis=0)
+    s = np.concatenate([data.n_k[1:], *data.suff]) - colsum
     if not np.isfinite(s).all():
         raise NonFinite("score")
     if not want_hessian:
         return s, None
 
     # d2 log D / d eta_k d eta_k' is the softmax covariance u_k (delta - u_k'),
-    # so H = Psi' Psi - blockdiag(G_k' diag(u_k) G_k) with G_k = (1, h_k) and
-    # Psi_i = u_k * (1, h_k); the block is G_k' Psi[:, idx_k].
-    Psi = tilt_design(U, data)
+    # so H = Psi' Psi - blockdiag(G_k' diag(u_k) G_k) with G_k = (1, h_k); the
+    # block's first row and column are column sums of Psi, the rest h_k' Psi[:, b].
     H = Psi.T @ Psi
     for k in range(m):
-        idx = np.r_[k, m + offs[k]:m + offs[k + 1]]
-        cols = Psi[:, idx]
-        H[np.ix_(idx, idx)] -= np.vstack([cols.sum(axis=0), data.basis[k].T @ cols])
+        b = slice(m + offs[k], m + offs[k + 1])
+        H[k, k] -= colsum[k]
+        H[k, b] -= colsum[b]
+        H[b, k] -= colsum[b]
+        H[b, b] -= data.basis[k].T @ Psi[:, b]
     H = 0.5 * (H + H.T)   # exact symmetry despite BLAS rounding
     if not np.isfinite(H).all():
         raise NonFinite("hessian")

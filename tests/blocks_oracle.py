@@ -10,14 +10,15 @@ matrices of their definitions, so tests can compare the two routes:
 
 and sigma(t) by a masked sum over the fused points at or below each t.
 Population integrals int phi(t) dG(t) are the p-weighted sums over the fused
-data with the tilts plugged in.
+data with the tilts plugged in. The score and Hessian of the profile
+log-likelihood are rebuilt one neighbor at a time (``score_hessian``).
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from drmfuse._kernels import fused_weights, softmax_ratios
+from drmfuse._kernels import fused_weights, log_denominators, softmax_ratios
 
 
 def blocks_at(theta, data):
@@ -106,3 +107,26 @@ def sigma_t(fit, t):
     if a.size:
         value += a @ np.linalg.solve(fit.S, a)
     return max(float(value), 0.0)
+
+
+def score_hessian(theta, data):
+    """(s, H) of the profile log-likelihood at theta, per neighbor: the beta
+    score is suff_k - u_k' h_k, and H = Psi' Psi minus, for each neighbor,
+    the block G_k' diag(u_k) G_k with G_k = (1, h_k), written at its rows
+    and columns idx_k."""
+    m, offs = data.m, data.beta_offsets
+    logD, eta = log_denominators(theta, data)
+    U = data.rho[1:] * np.exp(eta - logD[:, None])
+    s = np.empty(m + data.r)
+    s[:m] = data.n_k[1:] - U.sum(axis=0)
+    for k in range(m):
+        if data.dims[k]:
+            s[m + offs[k]:m + offs[k + 1]] = data.suff[k] - U[:, k] @ data.basis[k]
+
+    Psi = np.column_stack([U] + [U[:, [k]] * data.basis[k] for k in range(m)])
+    H = Psi.T @ Psi
+    for k in range(m):
+        idx = np.r_[k, m + offs[k]:m + offs[k + 1]]
+        cols = Psi[:, idx]
+        H[np.ix_(idx, idx)] -= np.vstack([cols.sum(axis=0), data.basis[k].T @ cols])
+    return s, 0.5 * (H + H.T)

@@ -23,6 +23,7 @@ from drmfuse import (
 from drmfuse import _kernels
 from drmfuse.likelihood import FitOptions, _fit_core
 
+import blocks_oracle
 from conftest import make_fused, make_pair
 
 EPS = np.finfo(float).eps
@@ -113,9 +114,42 @@ def test_log_denominators_reject_non_finite_exponents(rng):
             _kernels.log_denominators(Theta(np.array([bad]), (np.array([0.0]),)), data)
 
 
+def test_tilt_arrays_are_column_major(rng):
+    data = make_fused(rng)
+    assert data.m >= 2
+    for B in data.basis:
+        assert B.flags.f_contiguous and not B.flags.writeable
+    theta = Theta.from_flat(rng.normal(0, 0.1, data.m + data.r), data.dims)
+    eta = _kernels.eta_matrix(theta, data)
+    assert eta.flags.f_contiguous
+    assert _kernels.tilt_design(np.exp(eta), data).flags.f_contiguous
+
+
 # ---------------------------------------------------------------------------
-# score / hessian: finite-difference oracles
+# score / hessian: the per-neighbor oracle and finite differences
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tilts", [("x,logx,log2x", "x,logx,log2x"), ("logx", "x"),
+                                   ("", "x,log2x"), ("x,log2x", "")])
+@pytest.mark.parametrize("tied", [False, True])
+def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
+    data = make_fused(rng, tilts=tilts)
+    if tied:  # every value repeated across and within samples
+        vals = np.round(data.t, 1) + 0.1
+        cuts = np.cumsum(data.n_k)[:-1].astype(int)
+        ref, *nbs = np.split(vals, cuts)
+        data = validate([Sample.reference("r", ref)]
+                        + [Sample.neighbor(f"n{k}", v) for k, v in enumerate(nbs)],
+                        [spec for _, spec in data.neighbors])
+    for _ in range(3):
+        flat = rng.normal(0, 0.2, data.m + data.r)
+        flat[:data.m] *= data.alpha_free
+        theta = Theta.from_flat(flat, data.dims)
+        s_ref, H_ref = blocks_oracle.score_hessian(theta, data)
+        s, H = score(theta, data), hessian(theta, data)
+        assert np.max(np.abs(s - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
+        assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
+
 
 def _fd_score(theta, data, h=1e-6):
     flat = theta.flat
