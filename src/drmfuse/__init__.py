@@ -39,7 +39,7 @@ from .inference import (
     threshold_probability,
     z_tests,
 )
-from .likelihood import FitOptions, fit, hessian, profile_loglik, score, tilt_value
+from .likelihood import fit, hessian, profile_loglik, score, tilt_value
 from .simulation import (
     ComparisonTable,
     SimConfig,
@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatch", "Basis", "ComparisonTable", "ComponentTest",
-    "DrmError", "DuplicateBasis", "EmptySample", "FitOptions", "FittedModel",
+    "DrmError", "DuplicateBasis", "EmptySample", "FittedModel",
     "FusedData", "GLOBAL_TILT", "GofResult", "InputError", "NoConvergence",
     "NonFinite", "NonPositiveValue", "NumericalError", "Role",
     "Sample", "Sigma_matrix", "SimConfig", "SingularHessian",

@@ -1,11 +1,17 @@
 """Shared numerical kernels over the fused data.
 
+The kernels take the flat parameter vector theta = (alpha_1..alpha_m, beta)
+and read the layout from ``FusedData``: one shared design X = (t, log t,
+log^2 t), and the map ``(nbr[j], col[j])`` that sends flat beta coordinate j
+to its neighbor and its column of X. Each neighbor's log tilt is then a
+column of eta = alpha + X B, with B[col[j], nbr[j]] = beta_j.
+
 Everything here works in log space: tilt exponents can be huge for large
 measurements (exp(beta * log^2 x) overflows quickly), but the softmax-like
 ratios q_k = w_k / sum_u rho_u w_u are bounded above by 1/rho_k, so all
 downstream quantities are formed from exponent differences. The
 log-denominator shifts every row by its largest exponent before
-exponentiating, so no exponential exceeds 1. The (n, m) and (n, m + r)
+exponentiating, so no exponential exceeds 1. X and the (n, m) and (n, m + r)
 arrays are column-major, because numpy reduces a C-order array along its
 short axis one row at a time.
 """
@@ -14,20 +20,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FusedData, NonFinite, Theta
+from .core import FusedData, NonFinite
 
 
-def eta_matrix(theta: Theta, data: FusedData) -> np.ndarray:
-    """Log tilt values eta[:, k] = alpha_k + h_k(t)^T beta_k, shape (n, m)."""
-    eta = np.empty((data.n, data.m), order="F")
-    for k in range(data.m):
-        eta[:, k] = theta.alpha[k]
-        if theta.beta[k].size:
-            eta[:, k] += data.basis[k] @ theta.beta[k]
+def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
+    """Log tilt values eta = alpha + X B at the flat theta, shape (n, m)."""
+    m = data.m
+    B = np.zeros((3, m))
+    B[data.col, data.nbr] = theta[m:]
+    eta = (B.T @ data.X.T).T   # column-major (n, m)
+    eta += theta[:m]
     return eta
 
 
-def log_denominators(theta: Theta, data: FusedData) -> tuple[np.ndarray, np.ndarray]:
+def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np.ndarray]:
     """(logD, eta) with logD_i = log sum_{k=0}^m rho_k w_k(t_i), w_0 = 1.
 
     Each row is shifted by mx_i = max(0, max_k eta_ik), so w_k never
@@ -45,24 +51,17 @@ def log_denominators(theta: Theta, data: FusedData) -> tuple[np.ndarray, np.ndar
     return logD, eta
 
 
-def softmax_ratios(theta: Theta, data: FusedData):
-    """(q, logD, eta) with q[:, k] = w_k / D in (0, 1/rho_k], shape (n, m)."""
-    logD, eta = log_denominators(theta, data)
-    q = np.exp(eta - logD[:, None])
-    return q, logD, eta
-
-
 def tilt_design(U: np.ndarray, data: FusedData) -> np.ndarray:
-    """Psi with rows (u_1, ..., u_m, u_1 h_1', ..., u_m h_m'), shape (n, m + r).
+    """Psi = (U, U[:, nbr] * X[:, col]), shape (n, m + r).
 
-    ``U[:, k] = rho_k w_k / D``; the beta blocks follow ``data.beta_offsets``.
+    ``U[:, k] = rho_k w_k / D``; beta column j is neighbor nbr[j]'s ratio
+    times its basis function col[j].
     """
-    m, offs = data.m, data.beta_offsets
+    m = data.m
     Psi = np.empty((data.n, m + data.r), order="F")
     Psi[:, :m] = U
-    for k in range(m):
-        if data.dims[k]:
-            Psi[:, m + offs[k]:m + offs[k + 1]] = U[:, k][:, None] * data.basis[k]
+    for j, (k, c) in enumerate(zip(data.nbr, data.col)):
+        np.multiply(U[:, k], data.X[:, c], out=Psi[:, m + j])   # no (n, r) temporaries
     return Psi
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import softmax_ratios, tilt_design
+from ._kernels import eta_matrix, tilt_design
 from .core import FittedModel, NonFinite, SingularMatrix
 
 _COND_LIMIT = 1e12
@@ -60,17 +60,18 @@ def sigma_t(fit: FittedModel, T) -> np.ndarray:
     Piecewise constant between adjacent fused points. Negative plug-in values
     are clamped to zero. The partial sums behind G, A and B come from one
     cumulative pass over the fused points sorted by t, so each threshold
-    costs a binary search and one quadratic form in S^{-1}.
+    costs a binary search and one quadratic form in S^{-1}. The ratios
+    w_k / D reuse the fit's log-denominators.
     """
     data = fit.data
     m = data.m
-    q, _, _ = softmax_ratios(fit.theta, data)
+    U = data.rho[1:] * np.exp(eta_matrix(fit.theta.flat, data) - fit.logD[:, None])
     # Row 1 + i holds p_i (1, Psi_i): the G, rho_k A_k and rho_k B_k integrands
     # at t_i. Sorted by t and summed in place, row j is (G, a) at the j-th
     # smallest fused point; row 0 is t below all data.
     cum = np.zeros((data.n + 1, 1 + m + data.r))
     cum[1:, 0] = fit.weights
-    cum[1:, 1:] = tilt_design(data.rho[1:] * q, data)
+    cum[1:, 1:] = tilt_design(U, data)
     cum[1:, 1:] *= fit.weights[:, None]
     order = np.argsort(data.t, kind="stable")
     np.cumsum(cum[1:][order], axis=0, out=cum[1:])

@@ -166,6 +166,17 @@ def _split_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _number(flag: str, token: str, kind=float):
+    """One finite number of type ``kind`` from a flag's value; ConfigError if not."""
+    try:
+        value = kind(token)
+    except ValueError:
+        raise ConfigError(f"{flag}: {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag}: {token!r} is not finite")
+    return value
+
+
 def parse_tilt_string(text: str, n_neighbors: int) -> list[TiltSpec]:
     """Per-neighbor tilt grammar: semicolon-separated token lists,
     e.g. 'x,logx,log2x; x,log2x'."""
@@ -245,19 +256,16 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_fit(args) -> int:
     fitted, ing, tilts = _fit_from_args(args)
     data = fitted.data
-    n = data.n
-    se = np.sqrt(np.maximum(np.diag(fitted.Sigma), 0.0) / n)
+    theta = fitted.theta.flat
+    se = np.zeros(theta.size)   # a pinned alpha is reported with se 0
+    se[data.free] = np.sqrt(np.maximum(np.diag(fitted.Sigma)[data.free], 0.0) / data.n)
+    # each neighbor's alpha row, then its beta rows in tilt order
+    owner = np.concatenate([np.arange(data.m), data.nbr])
+    terms = ["alpha"] * data.m + [GLOBAL_TILT.basis[c].value for c in data.col]
     lines = ["region,term,estimate,se"]
-    offs = data.beta_offsets
-    for k, (sample, spec) in enumerate(data.neighbors):
-        alpha_se = float(se[k]) if spec.r else 0.0
-        lines.append(f"{sample.label},alpha,{float(fitted.theta.alpha[k])!r},{alpha_se!r}")
-        for j, b in enumerate(spec.basis):
-            idx = data.m + offs[k] + j
-            lines.append(
-                f"{sample.label},{b.value},"
-                f"{float(fitted.theta.beta[k][j])!r},{float(se[idx])!r}"
-            )
+    for i in np.argsort(owner, kind="stable"):
+        label = data.neighbors[owner[i]][0].label
+        lines.append(f"{label},{terms[i]},{float(theta[i])!r},{float(se[i])!r}")
     lines.append(f"# loglik={float(fitted.loglik)!r} iterations={fitted.iterations} "
                  f"score_norm={fitted.score_norm:.3e}")
     lines.append(f"# tilts: {'; '.join(spec.format() for spec in tilts)}")
@@ -290,8 +298,10 @@ def cmd_refine(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    thresholds = [_number("--thresholds", t) for t in _split_list(args.thresholds)]
+    if not thresholds:
+        raise ConfigError("--thresholds needs at least one value")
     fitted, ing, _ = _fit_from_args(args)
-    thresholds = [float(t) for t in _split_list(args.thresholds)]
     level = 1.0 - args.alpha
     gtilde = inference.drm_cdf(fitted)
     ghat = inference.empirical_cdf(ing.reference)
@@ -319,7 +329,7 @@ def cmd_gof(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sizes = tuple(int(s) for s in _split_list(args.sizes))
+    sizes = tuple(_number("--sizes", s, int) for s in _split_list(args.sizes))
     if len(sizes) != 3:
         raise ConfigError("--sizes needs three comma-separated counts")
     g = _split_list(args.grid)
@@ -328,7 +338,7 @@ def cmd_simulate(args) -> int:
     cfg = simulation.SimConfig(
         replications=args.reps,
         sizes=sizes,
-        grid=(float(g[0]), float(g[1]), int(g[2])),
+        grid=(_number("--grid", g[0]), _number("--grid", g[1]), _number("--grid", g[2], int)),
         seed=args.seed,
     )
     table = simulation.run_comparison(cfg)

@@ -107,8 +107,8 @@ class Basis(enum.Enum):
     LOGSQ = "log2x"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asfortranarray(a, dtype=float)   # 2-d designs are read by column
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.asfortranarray(a, dtype=dtype)   # 2-d designs are read by column
     a.flags.writeable = False
     return a
 
@@ -213,20 +213,31 @@ def basis_matrix(values: np.ndarray, spec: TiltSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FusedData:
-    """Reference plus neighbor samples concatenated, with precomputed design.
+    """Reference plus neighbor samples concatenated, with one shared design.
 
     ``t`` preserves block order (reference first); ``rho[k] = n_k / n_0`` with
-    ``rho[0] = 1``.
+    ``rho[0] = 1``. Every tilt is a subset of the ``GLOBAL_TILT`` basis, so
+    the design ``X`` holds that basis once: column ``c`` is
+    ``GLOBAL_TILT.basis[c]`` evaluated at ``t``. The flat parameter vector is
+    ``(alpha_1..alpha_m, beta)``; flat beta coordinate ``j`` belongs to
+    neighbor ``nbr[j]`` and multiplies column ``col[j]`` of ``X``, in the
+    order of each neighbor's tilt. ``obs = (n_1..n_m, suff)`` is the observed
+    statistic, with ``suff[j]`` the sum of column ``col[j]`` over neighbor
+    ``nbr[j]``'s sample, and ``free`` lists the flat indices not pinned at 0
+    (an empty tilt pins its alpha). All arrays are read-only.
     """
 
     reference: Sample
     neighbors: tuple[tuple[Sample, TiltSpec], ...]
     t: np.ndarray
     rho: np.ndarray
-    # derived design, computed once in validate()
+    # derived layout, computed once in validate()
     n_k: np.ndarray = field(repr=False)
-    basis: tuple[np.ndarray, ...] = field(repr=False)
-    suff: tuple[np.ndarray, ...] = field(repr=False)
+    X: np.ndarray = field(repr=False)
+    nbr: np.ndarray = field(repr=False)
+    col: np.ndarray = field(repr=False)
+    obs: np.ndarray = field(repr=False)
+    free: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -246,17 +257,7 @@ class FusedData:
 
     @property
     def r(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def beta_offsets(self) -> np.ndarray:
-        """Offsets of each neighbor's beta segment within the flat beta vector."""
-        return np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-
-    @property
-    def alpha_free(self) -> np.ndarray:
-        """True where alpha_k is a free parameter (empty tilts pin alpha_k = 0)."""
-        return np.array([spec.r > 0 for _, spec in self.neighbors], dtype=bool)
+        return self.nbr.size
 
 
 def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
@@ -277,22 +278,29 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
         if s.role is not Role.NEIGHBOR:
             raise ArityMismatch(f"sample {s.label!r} must have the neighbor role")
 
+    m = len(tilts)
     n_k = np.array([s.n for s in samples], dtype=float)
     t = _freeze(np.concatenate([s.values for s in samples]))
     rho = _freeze(n_k / n_k[0])
-    basis = tuple(_freeze(basis_matrix(t, spec)) for spec in tilts)
-    suff = tuple(
-        _freeze(basis_matrix(samples[k + 1].values, tilts[k]).sum(axis=0))
-        for k in range(len(tilts))
-    )
+    X = _freeze(basis_matrix(t, GLOBAL_TILT))
+    nbr = [k for k, spec in enumerate(tilts) for _ in spec.basis]
+    col = [GLOBAL_TILT.basis.index(b) for spec in tilts for b in spec.basis]
+    # column sums of X over each neighbor's sample, in that sample's row block
+    ends = np.cumsum([s.n for s in samples])
+    sums = np.array([X[a:b].sum(axis=0) for a, b in zip(ends[:-1], ends[1:])]).reshape(m, 3)
+    obs = np.concatenate([n_k[1:], sums[nbr, col]])
+    free = [k for k, spec in enumerate(tilts) if spec.r] + list(range(m, m + len(nbr)))
     return FusedData(
         reference=ref,
         neighbors=tuple(zip(samples[1:], tilts)),
         t=t,
         rho=rho,
         n_k=_freeze(n_k),
-        basis=basis,
-        suff=suff,
+        X=X,
+        nbr=_freeze(nbr, int),
+        col=_freeze(col, int),
+        obs=_freeze(obs),
+        free=_freeze(free, int),
     )
 
 
@@ -375,6 +383,7 @@ class FittedModel:
     iterations: int
     S: np.ndarray                # (m+r)x(m+r) plug-in information, -H/n at theta
     Sigma: np.ndarray            # (m+r)x(m+r) asymptotic covariance of sqrt(n)(theta-theta0)
+    logD: np.ndarray             # log sum_k rho_k w_k(t_i) at theta, from the final iterate
     data: FusedData
 
 

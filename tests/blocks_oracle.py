@@ -12,21 +12,47 @@ and sigma(t) by a masked sum over the fused points at or below each t.
 Population integrals int phi(t) dG(t) are the p-weighted sums over the fused
 data with the tilts plugged in. The score and Hessian of the profile
 log-likelihood are rebuilt one neighbor at a time (``score_hessian``).
+
+Nothing here reads the package's parameter layout (``FusedData.X``, ``nbr``,
+``col``, ``obs``, ``free``) or its kernels: each neighbor's basis comes from
+``basis_matrix`` and its tilt spec, the beta offsets from the specs, the
+sufficient statistics from the sample values, and the log-denominators from
+scipy's ``logsumexp``.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.special import logsumexp
 
-from drmfuse._kernels import fused_weights, log_denominators, softmax_ratios
+from drmfuse.core import basis_matrix
+
+
+def _layout(data):
+    """(basis, offs, suff): per-neighbor h_k(t) over the fused points, the
+    offsets of each beta_k in the flat beta vector, and sum_j h_k(X_kj)."""
+    basis = [basis_matrix(data.t, spec) for _, spec in data.neighbors]
+    offs = np.concatenate([[0], np.cumsum([spec.r for _, spec in data.neighbors])]).astype(int)
+    suff = [basis_matrix(sample.values, spec).sum(axis=0) for sample, spec in data.neighbors]
+    return basis, offs, suff
+
+
+def _ratios(theta, data, basis):
+    """(q, logD): q[:, k] = w_k / D and logD = log sum_k rho_k w_k, w_0 = 1."""
+    eta = np.empty((data.n, data.m))
+    for k in range(data.m):
+        eta[:, k] = theta.alpha[k] + basis[k] @ theta.beta[k]
+    logD = logsumexp(np.column_stack([np.zeros(data.n), eta]), axis=1, b=data.rho)
+    return np.exp(eta - logD[:, None]), logD
 
 
 def blocks_at(theta, data):
     """Blocks A (m,m), B (m,r), C (r,r), E (r,m) and Ebar (r,r) at theta, with
     V = Ebar - E E' on its diagonal blocks; all built from q_k = w_k / D."""
-    m, r, n0 = data.m, data.r, data.n0
-    q, _, _ = softmax_ratios(theta, data)
-    offs = data.beta_offsets
+    m, n0 = data.m, data.n0
+    basis, offs, _ = _layout(data)
+    r = offs[-1]
+    q, _ = _ratios(theta, data, basis)
 
     A = (q.T @ q) / n0
     B = np.zeros((m, r))
@@ -35,13 +61,13 @@ def blocks_at(theta, data):
     Ebar = np.zeros((r, r))
     V = np.zeros((r, r))
     for k in range(m):
-        hk = data.basis[k]
+        hk = basis[k]
         qk = q[:, k]
         for kp in range(m):
             qq = qk * q[:, kp]
-            B[k, offs[kp]:offs[kp + 1]] = (qq @ data.basis[kp]) / n0
+            B[k, offs[kp]:offs[kp + 1]] = (qq @ basis[kp]) / n0
             C[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = (
-                hk.T @ (qq[:, None] * data.basis[kp]) / n0
+                hk.T @ (qq[:, None] * basis[kp]) / n0
             )
         Ek = (qk @ hk) / n0
         Ebark = hk.T @ (qk[:, None] * hk) / n0
@@ -89,19 +115,20 @@ def sigma_t(fit, t):
     """sigma(t) at one threshold by masked sums over the fused points, with the
     S^{-1} quadratic form from a linear solve; negative values clamp to 0."""
     data = fit.data
-    m, offs = data.m, data.beta_offsets
-    q, logD, _ = softmax_ratios(fit.theta, data)
-    pw = fused_weights(logD, data)
+    m = data.m
+    basis, offs, _ = _layout(data)
+    q, logD = _ratios(fit.theta, data, basis)
+    pw = np.exp(-logD) / data.n0
     rho1 = data.rho[1:]
 
     ind = data.t <= t
     G = pw[ind].sum()
     expnD = np.exp(-logD[ind])
     Ak = (q[ind] * expnD[:, None]).sum(axis=0) / data.n0
-    a = np.zeros(m + data.r)
+    a = np.zeros(m + offs[-1])
     a[:m] = rho1 * Ak
     for k in range(m):
-        Bk = ((q[ind, k] * expnD) @ data.basis[k][ind]) / data.n0
+        Bk = ((q[ind, k] * expnD) @ basis[k][ind]) / data.n0
         a[m + offs[k]:m + offs[k + 1]] = rho1[k] * Bk
     value = data.rho.sum() * (G - G * G - rho1 @ Ak)
     if a.size:
@@ -114,19 +141,20 @@ def score_hessian(theta, data):
     score is suff_k - u_k' h_k, and H = Psi' Psi minus, for each neighbor,
     the block G_k' diag(u_k) G_k with G_k = (1, h_k), written at its rows
     and columns idx_k."""
-    m, offs = data.m, data.beta_offsets
-    logD, eta = log_denominators(theta, data)
-    U = data.rho[1:] * np.exp(eta - logD[:, None])
-    s = np.empty(m + data.r)
+    m = data.m
+    basis, offs, suff = _layout(data)
+    q, _ = _ratios(theta, data, basis)
+    U = data.rho[1:] * q
+    s = np.empty(m + offs[-1])
     s[:m] = data.n_k[1:] - U.sum(axis=0)
     for k in range(m):
-        if data.dims[k]:
-            s[m + offs[k]:m + offs[k + 1]] = data.suff[k] - U[:, k] @ data.basis[k]
+        if offs[k + 1] > offs[k]:
+            s[m + offs[k]:m + offs[k + 1]] = suff[k] - U[:, k] @ basis[k]
 
-    Psi = np.column_stack([U] + [U[:, [k]] * data.basis[k] for k in range(m)])
+    Psi = np.column_stack([U] + [U[:, [k]] * basis[k] for k in range(m)])
     H = Psi.T @ Psi
     for k in range(m):
         idx = np.r_[k, m + offs[k]:m + offs[k + 1]]
         cols = Psi[:, idx]
-        H[np.ix_(idx, idx)] -= np.vstack([cols.sum(axis=0), data.basis[k].T @ cols])
+        H[np.ix_(idx, idx)] -= np.vstack([cols.sum(axis=0), basis[k].T @ cols])
     return s, 0.5 * (H + H.T)

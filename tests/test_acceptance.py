@@ -37,6 +37,7 @@ from drmfuse import (
     threshold_probability,
     validate,
 )
+from drmfuse._kernels import eta_matrix
 
 REFINED = [TiltSpec.parse("logx"), TiltSpec.parse("x,log2x")]
 
@@ -206,9 +207,7 @@ def test_criterion_4_optimizer_matches_derivative_free_search():
     for i in range(20):
         data = _random_fixture(rng, i)
         model = fit(data)
-        free_alpha = np.flatnonzero(data.alpha_free)
-        free_idx = np.concatenate([free_alpha,
-                                   np.arange(data.m, data.m + data.r)]).astype(int)
+        free_idx = data.free
 
         def negl(v, data=data, free_idx=free_idx):
             full = np.zeros(data.m + data.r)
@@ -221,8 +220,7 @@ def test_criterion_4_optimizer_matches_derivative_free_search():
         gap = float(np.max(np.abs(res.x - model.theta.flat[free_idx]))) if free_idx.size else 0.0
         worst_gap = max(worst_gap, gap)
         worst_score = max(worst_score, model.score_norm / data.n)
-        from drmfuse._kernels import softmax_ratios
-        q, _, _ = softmax_ratios(model.theta, data)
+        q = np.exp(eta_matrix(model.theta.flat, data) - model.logD[:, None])
         resid = abs(model.weights.sum() - 1.0)
         for k in range(data.m):
             resid = max(resid, abs(q[:, k].sum() / data.n0 - 1.0))

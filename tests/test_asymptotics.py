@@ -13,6 +13,8 @@ from drmfuse import (
     validate,
 )
 
+from drmfuse import _kernels
+
 import blocks_oracle as oracle
 from conftest import make_fused, make_pair
 
@@ -160,6 +162,22 @@ def test_sigma_t_piecewise_constant(rng):
     at_left = sigma_t(model, pts[:-1])
     at_mid = sigma_t(model, 0.5 * (pts[:-1] + pts[1:]))
     assert np.allclose(at_mid, at_left, rtol=0.0, atol=1e-14)
+
+
+def test_sigma_t_reuses_the_fits_log_denominators(rng, monkeypatch):
+    # FittedModel.logD is the final iterate's pass, bit for bit, and sigma(t)
+    # makes no second pass over the tilt exponents
+    model = fit(make_fused(rng))
+    assert np.array_equal(model.logD,
+                          _kernels.log_denominators(model.theta.flat, model.data)[0])
+    T = np.quantile(model.data.t, [0.1, 0.5, 0.9])
+    expected = sigma_t(model, T)
+
+    def no_pass(theta, data):
+        raise AssertionError("sigma_t repeated the exponent pass")
+
+    monkeypatch.setattr(_kernels, "log_denominators", no_pass)
+    assert np.array_equal(sigma_t(model, T), expected)
 
 
 def test_sigma_t_no_neighbors_is_binomial(rng):

@@ -284,6 +284,12 @@ def test_exit_code_4_on_bad_flags(radon_csv, capsys):
     assert main(["fit"]) == 4                       # missing required flags
     assert main(["simulate", "--sizes", "1,2"]) == 4
     assert main(["refine", *_flags(radon_csv, "--alpha", "1.5")]) == 4
+    for thresholds in ("abc", "nan,4", "5,inf", ","):
+        assert main(["threshold", *_flags(radon_csv, "--tilt", "global",
+                                          "--thresholds", thresholds)]) == 4
+    assert main(["simulate", "--sizes", "a,b,c"]) == 4
+    assert main(["simulate", "--grid", "0,x,10"]) == 4
+    assert main(["simulate", "--grid", "0,10,2.5"]) == 4
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):

@@ -20,8 +20,7 @@ from drmfuse import (
     tilt_value,
     validate,
 )
-from drmfuse import _kernels
-from drmfuse.likelihood import FitOptions, _fit_core
+from drmfuse import _kernels, likelihood
 
 import blocks_oracle
 from conftest import make_fused, make_pair
@@ -100,7 +99,7 @@ def test_log_denominators_match_logsumexp(rng, monkeypatch, tilts):
     eta[:100] = rng.uniform(-700.0, -1.0, (100, data.m))
     eta[100:200] = rng.uniform(-1e-3, 1e-3, (100, data.m))
     monkeypatch.setattr(_kernels, "eta_matrix", lambda theta, data: eta)
-    logD, got = _kernels.log_denominators(Theta.zeros(data.dims), data)
+    logD, got = _kernels.log_denominators(np.zeros(data.m + data.r), data)
     assert got is eta
     full = np.column_stack([np.zeros(data.n), eta])
     ref = logsumexp(full, axis=1, b=np.broadcast_to(data.rho, full.shape))
@@ -111,16 +110,16 @@ def test_log_denominators_reject_non_finite_exponents(rng):
     data = make_pair(rng, tilt="x")
     for bad in (np.inf, np.nan):
         with pytest.raises(NonFinite, match="tilt exponents"):
-            _kernels.log_denominators(Theta(np.array([bad]), (np.array([0.0]),)), data)
+            _kernels.log_denominators(np.array([bad, 0.0]), data)
 
 
 def test_tilt_arrays_are_column_major(rng):
     data = make_fused(rng)
     assert data.m >= 2
-    for B in data.basis:
-        assert B.flags.f_contiguous and not B.flags.writeable
-    theta = Theta.from_flat(rng.normal(0, 0.1, data.m + data.r), data.dims)
-    eta = _kernels.eta_matrix(theta, data)
+    assert data.X.flags.f_contiguous and not data.X.flags.writeable
+    for a in (data.nbr, data.col, data.obs, data.free):
+        assert not a.flags.writeable
+    eta = _kernels.eta_matrix(rng.normal(0, 0.1, data.m + data.r), data)
     assert eta.flags.f_contiguous
     assert _kernels.tilt_design(np.exp(eta), data).flags.f_contiguous
 
@@ -143,7 +142,7 @@ def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
                         [spec for _, spec in data.neighbors])
     for _ in range(3):
         flat = rng.normal(0, 0.2, data.m + data.r)
-        flat[:data.m] *= data.alpha_free
+        flat[:data.m] *= np.array(data.dims) > 0   # an empty tilt pins alpha at 0
         theta = Theta.from_flat(flat, data.dims)
         s_ref, H_ref = blocks_oracle.score_hessian(theta, data)
         s, H = score(theta, data), hessian(theta, data)
@@ -272,8 +271,7 @@ def test_fit_constraints_hold_at_optimum(rng):
     assert abs(model.weights.sum() - 1.0) < 1e-10
     assert (model.weights > 0).all()
     # sum_i p_i w_k(t_i) = 1 for every neighbor, via the bounded ratio form
-    from drmfuse._kernels import softmax_ratios
-    q, _, _ = softmax_ratios(model.theta, data)
+    q = np.exp(_kernels.eta_matrix(model.theta.flat, data) - model.logD[:, None])
     for k in range(data.m):
         assert abs(q[:, k].sum() / data.n0 - 1.0) < 1e-8
     assert model.score_norm <= 1e-8 * data.n
@@ -284,7 +282,6 @@ def test_fit_monotone_ascent(rng, monkeypatch):
     # otherwise only at float-stationary or polish candidates. Up to the last
     # derivation at the returned theta, the log-likelihood never drops by more
     # than the float-stationary tolerance of the acceptance rule.
-    from drmfuse import likelihood
     data = make_fused(rng, sizes=(150, 120, 100))
     evaluated, visited = [], []
     loglik_parts, score_hessian = likelihood._loglik_parts, likelihood._score_hessian
@@ -300,9 +297,10 @@ def test_fit_monotone_ascent(rng, monkeypatch):
 
     monkeypatch.setattr(likelihood, "_loglik_parts", recording_loglik)
     monkeypatch.setattr(likelihood, "_score_hessian", recording_derivatives)
-    theta = _fit_core(data, FitOptions())[0]
+    theta = likelihood._fit_core(data)[0]
     last = max(i for i, th in enumerate(visited) if th is theta)
-    trace = np.array([profile_loglik(th, data) for th in visited[:last + 1]])
+    trace = np.array([profile_loglik(Theta.from_flat(th, data.dims), data)
+                      for th in visited[:last + 1]])
     assert trace.size > 2
     tol = 4 * EPS * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -tol)
@@ -377,20 +375,11 @@ def test_fit_degenerate_tilt_raises():
         fit(data)
 
 
-def test_fit_no_convergence_when_budget_too_small(rng):
+def test_fit_no_convergence_when_budget_too_small(rng, monkeypatch):
     data = make_fused(rng)
+    monkeypatch.setattr(likelihood, "_MAX_ITERATIONS", 2)
     with pytest.raises(NoConvergence) as exc:
-        fit(data, FitOptions(max_iterations=2))
+        fit(data)
     assert exc.value.iterations == 2
     assert exc.value.last_score_norm > 0
 
-
-def test_fit_initial_theta_and_options_validation(rng):
-    data = make_pair(rng, tilt="x")
-    warm = fit(data)
-    again = fit(data, FitOptions(initial_theta=warm.theta))
-    assert np.allclose(again.theta.flat, warm.theta.flat, atol=1e-9)
-    with pytest.raises(ArityMismatch):
-        FitOptions(grad_tol=0.0)
-    with pytest.raises(ArityMismatch):
-        FitOptions(max_iterations=0)
