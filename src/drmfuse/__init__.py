@@ -22,7 +22,6 @@ from .core import (
     SingularHessian,
     SingularMatrix,
     StepCDF,
-    Theta,
     TiltSpec,
     validate,
 )
@@ -39,7 +38,7 @@ from .inference import (
     threshold_probability,
     z_tests,
 )
-from .likelihood import fit, hessian, profile_loglik, score, tilt_value
+from .likelihood import fit, hessian, profile_loglik, score
 from .simulation import (
     ComparisonTable,
     SimConfig,
@@ -57,9 +56,9 @@ __all__ = [
     "FusedData", "GLOBAL_TILT", "GofResult", "InputError", "NoConvergence",
     "NonFinite", "NonPositiveValue", "NumericalError", "Role",
     "Sample", "Sigma_matrix", "SimConfig", "SingularHessian",
-    "SingularMatrix", "StepCDF", "TestReport", "Theta", "ThresholdEstimate",
+    "SingularMatrix", "StepCDF", "TestReport", "ThresholdEstimate",
     "TiltSpec", "chi_square_beta_test", "drm_cdf", "empirical_cdf",
     "exp2_cdf", "fit", "generate", "gof_pairs", "hessian", "miae_mise",
     "profile_loglik", "refine_tilts", "run_comparison", "score", "sigma_t",
-    "threshold_probability", "tilt_value", "validate", "z_tests",
+    "threshold_probability", "validate", "z_tests",
 ]

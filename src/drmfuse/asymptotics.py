@@ -65,7 +65,7 @@ def sigma_t(fit: FittedModel, T) -> np.ndarray:
     """
     data = fit.data
     m = data.m
-    U = data.rho[1:] * np.exp(eta_matrix(fit.theta.flat, data) - fit.logD[:, None])
+    U = data.rho[1:] * np.exp(eta_matrix(fit.theta, data) - fit.logD[:, None])
     # Row 1 + i holds p_i (1, Psi_i): the G, rho_k A_k and rho_k B_k integrands
     # at t_i. Sorted by t and summed in place, row j is (G, a) at the j-th
     # smallest fused point; row 0 is t below all data.

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import inference, likelihood, simulation
 from .core import (
+    ArityMismatch,
     DrmError,
     FusedData,
     GLOBAL_TILT,
@@ -256,7 +257,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_fit(args) -> int:
     fitted, ing, tilts = _fit_from_args(args)
     data = fitted.data
-    theta = fitted.theta.flat
+    theta = fitted.theta
     se = np.zeros(theta.size)   # a pinned alpha is reported with se 0
     se[data.free] = np.sqrt(np.maximum(np.diag(fitted.Sigma)[data.free], 0.0) / data.n)
     # each neighbor's alpha row, then its beta rows in tilt order
@@ -335,12 +336,12 @@ def cmd_simulate(args) -> int:
     g = _split_list(args.grid)
     if len(g) != 3:
         raise ConfigError("--grid needs M1,M2,J")
-    cfg = simulation.SimConfig(
-        replications=args.reps,
-        sizes=sizes,
-        grid=(_number("--grid", g[0]), _number("--grid", g[1]), _number("--grid", g[2], int)),
-        seed=args.seed,
-    )
+    grid = (_number("--grid", g[0]), _number("--grid", g[1]), _number("--grid", g[2], int))
+    try:
+        cfg = simulation.SimConfig(replications=args.reps, sizes=sizes, grid=grid,
+                                   seed=args.seed)
+    except ArityMismatch as e:
+        raise ConfigError(str(e)) from None
     table = simulation.run_comparison(cfg)
     print(table.to_text(), file=sys.stderr)
     _emit(table.to_delimited(), args.out)

@@ -1,4 +1,4 @@
-"""Domain types: samples, tilt specifications, fused data, parameters, step CDFs.
+"""Domain types: samples, tilt specifications, fused data, fitted models, step CDFs.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -56,8 +56,7 @@ class DuplicateBasis(InputError):
 
 
 class ArityMismatch(InputError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    """Shapes or counts that do not fit together (samples, tilts, theta)."""
 
 
 class NumericalError(DrmError):
@@ -80,8 +79,7 @@ class NoConvergence(NumericalError):
 
 
 class SingularHessian(NumericalError):
-    def __init__(self, msg: str):
-        super().__init__(msg)
+    """A tilt basis function is constant over the fused data."""
 
 
 class SingularMatrix(NumericalError):
@@ -252,10 +250,6 @@ class FusedData:
         return int(self.n_k.sum())
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(spec.r for _, spec in self.neighbors)
-
-    @property
     def r(self) -> int:
         return self.nbr.size
 
@@ -305,78 +299,18 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
 
 
 # ---------------------------------------------------------------------------
-# Parameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Theta:
-    """Model parameters: per-neighbor intercepts and tilt coefficients.
-
-    ``beta`` holds one segment per neighbor; a neighbor with an empty tilt has
-    a zero-length segment and its alpha pinned at 0.
-    """
-
-    alpha: np.ndarray
-    beta: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        alpha = _freeze(np.atleast_1d(np.asarray(self.alpha, dtype=float)))
-        beta = tuple(_freeze(np.atleast_1d(np.asarray(b, dtype=float)).reshape(-1))
-                     for b in self.beta)
-        if alpha.size != len(beta):
-            raise ArityMismatch(
-                f"{alpha.size} alphas but {len(beta)} beta segments"
-            )
-        for k, b in enumerate(beta):
-            if b.size == 0 and alpha[k] != 0.0:
-                raise ArityMismatch(
-                    f"neighbor {k}: empty tilt requires alpha pinned at 0, got {alpha[k]!r}"
-                )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def m(self) -> int:
-        return self.alpha.size
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Concatenated (alpha, beta_1, ..., beta_m), length m + r."""
-        return np.concatenate([self.alpha, *self.beta]) if self.m else np.empty(0)
-
-    @classmethod
-    def zeros(cls, dims: tuple[int, ...]) -> "Theta":
-        return cls(np.zeros(len(dims)), tuple(np.zeros(rk) for rk in dims))
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims: tuple[int, ...]) -> "Theta":
-        flat = np.asarray(flat, dtype=float)
-        m = len(dims)
-        if flat.size != m + sum(dims):
-            raise ArityMismatch(
-                f"flat parameter vector has length {flat.size}, expected {m + sum(dims)}"
-            )
-        beta, off = [], m
-        for rk in dims:
-            beta.append(flat[off:off + rk])
-            off += rk
-        return cls(flat[:m].copy(), tuple(beta))
-
-    def matches(self, data: FusedData) -> bool:
-        return self.m == data.m and all(
-            b.size == rk for b, rk in zip(self.beta, data.dims)
-        )
-
-
-# ---------------------------------------------------------------------------
 # Fitted model and step CDFs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:
-    """Result of maximizing the profile empirical log-likelihood."""
+    """Result of maximizing the profile empirical log-likelihood.
 
-    theta: Theta
+    ``theta`` is the read-only flat vector ``(alpha_1..alpha_m, beta)`` in
+    ``data``'s layout (see ``FusedData``); an empty tilt's alpha is 0.
+    """
+
+    theta: np.ndarray
     weights: np.ndarray          # p~_i over the fused points, sums to 1
     loglik: float
     score_norm: float            # inf-norm of the score at theta

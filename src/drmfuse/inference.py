@@ -79,7 +79,7 @@ def _beta_block(fit: FittedModel):
     m = fit.data.m
     if m != 1:
         raise ArityMismatch(f"pairwise fit required (m = 1), got m = {m}")
-    beta = fit.theta.beta[0]
+    beta = fit.theta[m:]
     Sigma_beta = fit.Sigma[m:, m:]
     return beta, Sigma_beta
 

@@ -26,9 +26,6 @@ from .core import (
     NoConvergence,
     NonFinite,
     SingularHessian,
-    Theta,
-    TiltSpec,
-    basis_matrix,
 )
 
 _EPS = np.finfo(float).eps
@@ -37,20 +34,22 @@ _GRAD_TOL = 1e-8          # on ||score||_inf, scaled by n
 _STEP_HALVING_MAX = 40
 
 
-def tilt_value(spec: TiltSpec, x: float) -> np.ndarray:
-    """Evaluate a tilt's basis functions at one positive point."""
-    return basis_matrix(np.asarray([x], dtype=float), spec)[0]
+def _check_theta(theta: np.ndarray, data: FusedData) -> np.ndarray:
+    """The flat theta as a float array; ArityMismatch unless it has length
+    m + r and is 0 outside ``data.free`` (an empty tilt pins its alpha)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (data.m + data.r,):
+        raise ArityMismatch(
+            f"theta has shape {theta.shape}, expected ({data.m + data.r},) for the fused data"
+        )
+    if np.delete(theta, data.free).any():
+        raise ArityMismatch("theta is nonzero at the alpha of an empty tilt, which is pinned at 0")
+    return theta
 
 
-def _check_theta(theta: Theta, data: FusedData):
-    if not theta.matches(data):
-        raise ArityMismatch("theta dimensions do not match the fused data's tilts")
-
-
-def profile_loglik(theta: Theta, data: FusedData) -> float:
-    """l(theta); raises NonFinite if tilt exponents are not finite."""
-    _check_theta(theta, data)
-    return _loglik_parts(theta.flat, data)[0]
+def profile_loglik(theta: np.ndarray, data: FusedData) -> float:
+    """l(theta) at the flat theta; raises NonFinite if tilt exponents are not finite."""
+    return _loglik_parts(_check_theta(theta, data), data)[0]
 
 
 def _loglik_parts(theta: np.ndarray, data: FusedData):
@@ -62,18 +61,16 @@ def _loglik_parts(theta: np.ndarray, data: FusedData):
     return value, logD, eta
 
 
-def score(theta: Theta, data: FusedData) -> np.ndarray:
-    """Gradient of l, length m + r (alpha block, then beta blocks)."""
-    _check_theta(theta, data)
-    logD, eta = log_denominators(theta.flat, data)
+def score(theta: np.ndarray, data: FusedData) -> np.ndarray:
+    """Gradient of l at the flat theta, length m + r, in the same layout."""
+    logD, eta = log_denominators(_check_theta(theta, data), data)
     s, _ = _score_hessian(eta, logD, data, want_hessian=False)
     return s
 
 
-def hessian(theta: Theta, data: FusedData) -> np.ndarray:
-    """Exact second derivative of l, (m+r)x(m+r), symmetric and <= 0."""
-    _check_theta(theta, data)
-    logD, eta = log_denominators(theta.flat, data)
+def hessian(theta: np.ndarray, data: FusedData) -> np.ndarray:
+    """Exact second derivative of l at the flat theta, (m+r)x(m+r), symmetric and <= 0."""
+    logD, eta = log_denominators(_check_theta(theta, data), data)
     _, H = _score_hessian(eta, logD, data, want_hessian=True)
     return H
 
@@ -226,8 +223,9 @@ def fit(data: FusedData) -> FittedModel:
     _check_degenerate(data)
     theta, loglik, iterations, score_norm, H, logD = _fit_core(data)
     S = -H / data.n
+    theta.flags.writeable = False
     return FittedModel(
-        theta=Theta.from_flat(theta, data.dims),
+        theta=theta,
         weights=fused_weights(logD, data),
         loglik=loglik,
         score_norm=score_norm,

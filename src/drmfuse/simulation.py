@@ -59,7 +59,6 @@ class SimConfig:
     sizes: tuple[int, int, int] = (1000, 1000, 1000)
     grid: tuple[float, float, int] = (0.0, 10.0, 1000)   # (M1, M2, J)
     seed: int = 0
-    estimators: tuple[str, ...] = ESTIMATORS
 
     def __post_init__(self):
         m1, m2, j = self.grid
@@ -69,9 +68,6 @@ class SimConfig:
             raise ArityMismatch("replications and grid size must be >= 1")
         if any(n < 1 for n in self.sizes):
             raise ArityMismatch("sample sizes must be >= 1")
-        unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown:
-            raise ArityMismatch(f"unknown estimators {sorted(unknown)}")
 
     @property
     def delta(self) -> float:
@@ -174,13 +170,13 @@ def run_comparison(cfg: SimConfig) -> ComparisonTable:
     Replicates whose fits fail (NoConvergence and kin) are counted and
     excluded; the run aborts if more than 10% fail.
     """
-    per = {name: [] for name in cfg.estimators}
+    per = {name: [] for name in ESTIMATORS}
     failures = 0
     for i in range(cfg.replications):
         samples = generate(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), cfg.sizes)
         try:
             results = {name: _replicate_errors(samples, name, cfg.grid)
-                       for name in cfg.estimators}
+                       for name in ESTIMATORS}
         except NumericalError:
             failures += 1
             if failures > 0.1 * cfg.replications:
@@ -192,7 +188,7 @@ def run_comparison(cfg: SimConfig) -> ComparisonTable:
     used = cfg.replications - failures
     rows = []
     arrays = {}
-    for name in cfg.estimators:
+    for name in ESTIMATORS:
         arr = np.asarray(per[name], dtype=float).reshape(used, 2)
         arrays[name] = arr
         se = arr.std(axis=0, ddof=1) / np.sqrt(used) if used > 1 else np.zeros(2)

@@ -17,7 +17,8 @@ Nothing here reads the package's parameter layout (``FusedData.X``, ``nbr``,
 ``col``, ``obs``, ``free``) or its kernels: each neighbor's basis comes from
 ``basis_matrix`` and its tilt spec, the beta offsets from the specs, the
 sufficient statistics from the sample values, and the log-denominators from
-scipy's ``logsumexp``.
+scipy's ``logsumexp``. The flat theta is taken as (alpha_1..alpha_m, beta_1,
+..., beta_m) and split per neighbor by ``split_theta``.
 """
 
 from types import SimpleNamespace
@@ -28,20 +29,31 @@ from scipy.special import logsumexp
 from drmfuse.core import basis_matrix
 
 
+def _offsets(data):
+    """Offsets of each beta_k in the flat beta vector, from the tilt specs."""
+    return np.concatenate([[0], np.cumsum([spec.r for _, spec in data.neighbors])]).astype(int)
+
+
+def split_theta(theta, data):
+    """[(alpha_k, beta_k)] per neighbor from the flat theta."""
+    m, offs = data.m, _offsets(data)
+    assert len(theta) == m + offs[-1]
+    return [(theta[k], theta[m + offs[k]:m + offs[k + 1]]) for k in range(m)]
+
+
 def _layout(data):
     """(basis, offs, suff): per-neighbor h_k(t) over the fused points, the
     offsets of each beta_k in the flat beta vector, and sum_j h_k(X_kj)."""
     basis = [basis_matrix(data.t, spec) for _, spec in data.neighbors]
-    offs = np.concatenate([[0], np.cumsum([spec.r for _, spec in data.neighbors])]).astype(int)
     suff = [basis_matrix(sample.values, spec).sum(axis=0) for sample, spec in data.neighbors]
-    return basis, offs, suff
+    return basis, _offsets(data), suff
 
 
 def _ratios(theta, data, basis):
     """(q, logD): q[:, k] = w_k / D and logD = log sum_k rho_k w_k, w_0 = 1."""
     eta = np.empty((data.n, data.m))
-    for k in range(data.m):
-        eta[:, k] = theta.alpha[k] + basis[k] @ theta.beta[k]
+    for k, (alpha_k, beta_k) in enumerate(split_theta(theta, data)):
+        eta[:, k] = alpha_k + basis[k] @ beta_k
     logD = logsumexp(np.column_stack([np.zeros(data.n), eta]), axis=1, b=data.rho)
     return np.exp(eta - logD[:, None]), logD
 
@@ -79,7 +91,7 @@ def blocks_at(theta, data):
 
 def _rho_diags(data):
     rho = data.rho[1:]
-    return np.diag(rho), np.diag(np.repeat(rho, data.dims)), data.rho.sum()
+    return np.diag(rho), np.diag(np.repeat(rho, np.diff(_offsets(data)))), data.rho.sum()
 
 
 def S_matrix(bb, data):

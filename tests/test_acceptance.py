@@ -20,7 +20,6 @@ from drmfuse import (
     Basis,
     Sample,
     SimConfig,
-    Theta,
     TiltSpec,
     chi_square_beta_test,
     drm_cdf,
@@ -37,6 +36,7 @@ from drmfuse import (
     threshold_probability,
     validate,
 )
+from drmfuse import simulation
 from drmfuse._kernels import eta_matrix
 
 REFINED = [TiltSpec.parse("logx"), TiltSpec.parse("x,log2x")]
@@ -212,15 +212,15 @@ def test_criterion_4_optimizer_matches_derivative_free_search():
         def negl(v, data=data, free_idx=free_idx):
             full = np.zeros(data.m + data.r)
             full[free_idx] = v
-            return -profile_loglik(Theta.from_flat(full, data.dims), data)
+            return -profile_loglik(full, data)
 
         res = minimize(negl, np.zeros(free_idx.size), method="Nelder-Mead",
                        options=dict(xatol=1e-10, fatol=1e-13,
                                     maxiter=200_000, maxfev=200_000))
-        gap = float(np.max(np.abs(res.x - model.theta.flat[free_idx]))) if free_idx.size else 0.0
+        gap = float(np.max(np.abs(res.x - model.theta[free_idx]))) if free_idx.size else 0.0
         worst_gap = max(worst_gap, gap)
         worst_score = max(worst_score, model.score_norm / data.n)
-        q = np.exp(eta_matrix(model.theta.flat, data) - model.logD[:, None])
+        q = np.exp(eta_matrix(model.theta, data) - model.logD[:, None])
         resid = abs(model.weights.sum() - 1.0)
         for k in range(data.m):
             resid = max(resid, abs(q[:, k].sum() / data.n0 - 1.0))
@@ -245,20 +245,18 @@ def test_criterion_5_derivatives_match_finite_differences():
     h = 1e-6
     worst_s, worst_h = 0.0, 0.0
     for _ in range(5):
-        theta = Theta.from_flat(rng.normal(0.0, 0.1, data.m + data.r), data.dims)
+        theta = rng.normal(0.0, 0.1, data.m + data.r)
         s = score(theta, data)
         H = hessian(theta, data)
         p = s.size
         fd_s = np.empty(p)
         fd_H = np.empty((p, p))
-        flat = theta.flat
         for j in range(p):
-            up, dn = flat.copy(), flat.copy()
+            up, dn = theta.copy(), theta.copy()
             up[j] += h
             dn[j] -= h
-            tu, td = Theta.from_flat(up, data.dims), Theta.from_flat(dn, data.dims)
-            fd_s[j] = (profile_loglik(tu, data) - profile_loglik(td, data)) / (2 * h)
-            fd_H[:, j] = (score(tu, data) - score(td, data)) / (2 * h)
+            fd_s[j] = (profile_loglik(up, data) - profile_loglik(dn, data)) / (2 * h)
+            fd_H[:, j] = (score(up, data) - score(dn, data)) / (2 * h)
         worst_s = max(worst_s, float(np.max(np.abs(s - fd_s) / np.maximum(1.0, np.abs(fd_s)))))
         worst_h = max(worst_h, float(np.max(np.abs(H - fd_H) / np.maximum(1.0, np.abs(fd_H)))))
     ok = worst_s < 1e-6 and worst_h < 1e-5
@@ -288,7 +286,7 @@ def normality_mc():
         g = Sample.neighbor("g", rng.gamma(2.0, 0.5, n0))
         data = validate([ref, g], [TiltSpec.parse("logx")])
         model = fit(data)
-        thetas[i] = model.theta.flat
+        thetas[i] = model.theta
         Sigma_sum += model.Sigma
         gvals[i] = drm_cdf(model)(TVALS)
         sigma_sum += sigma_t(model, TVALS)
@@ -367,7 +365,7 @@ def test_criterion_9_determinism():
     t1, t2 = run_comparison(cfg), run_comparison(cfg)
     sim_ok = t1.rows == t2.rows and t1.to_delimited() == t2.to_delimited()
     rep_ok = all(np.array_equal(t1.per_replicate[k], t2.per_replicate[k])
-                 for k in cfg.estimators)
+                 for k in simulation.ESTIMATORS)
     ref, g, ln = generate(15, (800, 800, 800))
     tilts_ok = refine_tilts(ref, [g, ln]) == refine_tilts(ref, [g, ln])
     ok = sim_ok and rep_ok and tilts_ok

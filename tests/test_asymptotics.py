@@ -5,7 +5,6 @@ from drmfuse import (
     Sample,
     Sigma_matrix,
     SingularMatrix,
-    Theta,
     TiltSpec,
     fit,
     hessian,
@@ -29,7 +28,7 @@ def _equidistributed_pair(rng, n0=400, n1=300, tilt="x"):
 
 def test_blocks_equidistributed_A_closed_form(rng):
     data = _equidistributed_pair(rng)
-    bb = oracle.blocks_at(Theta.zeros(data.dims), data)
+    bb = oracle.blocks_at(np.zeros(data.m + data.r), data)
     rho1 = data.rho[1]
     assert bb.A[0, 0] == pytest.approx(1.0 / (1.0 + rho1), abs=1e-10)
 
@@ -39,7 +38,7 @@ def test_blocks_E_zero_for_log_tilt_on_unit_data():
         [Sample.reference("r", np.ones(10)), Sample.neighbor("n", np.ones(6))],
         [TiltSpec.parse("logx")],
     )
-    bb = oracle.blocks_at(Theta.zeros(data.dims), data)
+    bb = oracle.blocks_at(np.zeros(data.m + data.r), data)
     assert np.allclose(bb.E, 0.0)
     assert np.allclose(bb.Ebar, 0.0)
 
@@ -88,7 +87,7 @@ def test_blocks_match_direct_monte_carlo_integrals():
 def test_plugin_consistency_at_exact_zero(rng):
     # theta = 0 exactly: A_{kk'} all equal 1/sum(rho); S has the moment closed form
     data = _equidistributed_pair(rng, n0=500, n1=250, tilt="x")
-    theta = Theta.zeros(data.dims)
+    theta = np.zeros(data.m + data.r)
     bb = oracle.blocks_at(theta, data)
     c = data.rho.sum()
     assert np.max(np.abs(bb.A - 1.0 / c)) < 1e-10
@@ -169,7 +168,7 @@ def test_sigma_t_reuses_the_fits_log_denominators(rng, monkeypatch):
     # makes no second pass over the tilt exponents
     model = fit(make_fused(rng))
     assert np.array_equal(model.logD,
-                          _kernels.log_denominators(model.theta.flat, model.data)[0])
+                          _kernels.log_denominators(model.theta, model.data)[0])
     T = np.quantile(model.data.t, [0.1, 0.5, 0.9])
     expected = sigma_t(model, T)
 

@@ -290,6 +290,8 @@ def test_exit_code_4_on_bad_flags(radon_csv, capsys):
     assert main(["simulate", "--sizes", "a,b,c"]) == 4
     assert main(["simulate", "--grid", "0,x,10"]) == 4
     assert main(["simulate", "--grid", "0,10,2.5"]) == 4
+    for flag, value in (("--sizes", "0,1,1"), ("--grid", "10,0,10"), ("--reps", "0")):
+        assert main(["simulate", flag, value]) == 4   # SimConfig's range checks
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):

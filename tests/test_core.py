@@ -10,7 +10,6 @@ from drmfuse import (
     NonPositiveValue,
     Sample,
     StepCDF,
-    Theta,
     TiltSpec,
     validate,
 )
@@ -98,20 +97,6 @@ def test_tiltspec_parse_format_roundtrip():
     assert TiltSpec.parse("x,logx,log2x") == GLOBAL_TILT
     with pytest.raises(Exception):
         TiltSpec.parse("x,bogus")
-
-
-def test_theta_flat_roundtrip():
-    dims = (3, 0, 2)
-    theta = Theta(np.array([0.5, 0.0, -1.0]),
-                  (np.array([1.0, 2.0, 3.0]), np.empty(0), np.array([4.0, 5.0])))
-    back = Theta.from_flat(theta.flat, dims)
-    assert np.array_equal(back.flat, theta.flat)
-
-
-def test_theta_empty_segment_pins_alpha():
-    with pytest.raises(ArityMismatch):
-        Theta(np.array([0.3]), (np.empty(0),))
-    Theta(np.array([0.0]), (np.empty(0),))  # pinned at zero is fine
 
 
 def test_stepcdf_merges_ties_and_is_right_continuous():

@@ -11,15 +11,14 @@ from drmfuse import (
     NonFinite,
     Sample,
     SingularHessian,
-    Theta,
     TiltSpec,
     fit,
     hessian,
     profile_loglik,
     score,
-    tilt_value,
     validate,
 )
+from drmfuse.core import basis_matrix
 from drmfuse import _kernels, likelihood
 
 import blocks_oracle
@@ -29,19 +28,16 @@ EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
-# tilt_value
+# basis_matrix
 # ---------------------------------------------------------------------------
 
-def test_tilt_value_at_one():
-    assert np.allclose(tilt_value(TiltSpec.parse("x,logx,log2x"), 1.0), [1.0, 0.0, 0.0])
-
-
-def test_tilt_value_at_e():
-    assert np.allclose(tilt_value(TiltSpec.parse("x,log2x"), math.e), [math.e, 1.0])
-
-
-def test_tilt_value_log2():
-    assert np.allclose(tilt_value(TiltSpec.parse("logx"), 2.0), [math.log(2.0)])
+@pytest.mark.parametrize("tilt, x, expected", [
+    ("x,logx,log2x", 1.0, [1.0, 0.0, 0.0]),
+    ("x,log2x", math.e, [math.e, 1.0]),
+    ("logx", 2.0, [math.log(2.0)]),
+], ids=["at_one", "at_e", "log2"])
+def test_basis_matrix_values(tilt, x, expected):
+    assert np.allclose(basis_matrix(np.array([x]), TiltSpec.parse(tilt))[0], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +46,20 @@ def test_tilt_value_log2():
 
 def test_loglik_no_neighbors():
     data = validate([Sample.reference("r", [1.0, 2.0, 3.0, 4.0])], [])
-    assert profile_loglik(Theta.zeros(()), data) == pytest.approx(-4 * math.log(4), rel=1e-14)
+    assert profile_loglik(np.zeros(0), data) == pytest.approx(-4 * math.log(4), rel=1e-14)
 
 
 def test_loglik_at_zero_is_minus_n_log_n(rng):
     data = make_fused(rng)
     n = data.n
-    got = profile_loglik(Theta.zeros(data.dims), data)
+    got = profile_loglik(np.zeros(data.m + data.r), data)
     assert got == pytest.approx(-n * math.log(n), rel=1e-13)
 
 
 def test_loglik_matches_independent_reimplementation(rng):
     # direct transcription of the closed form with raw exps and python loops
     data = make_pair(rng, n0=5, n1=5, tilt="x")
-    theta = Theta(np.array([0.2]), (np.array([-0.3]),))
+    theta = np.array([0.2, -0.3])
 
     def naive(alpha, beta):
         rho = [1.0, data.n_k[1] / data.n_k[0]]
@@ -77,10 +73,20 @@ def test_loglik_matches_independent_reimplementation(rng):
     assert profile_loglik(theta, data) == pytest.approx(naive(0.2, -0.3), abs=1e-12)
 
 
-def test_loglik_dimension_mismatch(rng):
-    data = make_pair(rng)
-    with pytest.raises(ArityMismatch):
-        profile_loglik(Theta.zeros((2,)), data)
+def test_check_theta_shape_mismatch(rng):
+    data = make_pair(rng, tilt="x,logx,log2x")   # m + r = 4
+    for f in (profile_loglik, score, hessian):
+        for theta in (np.zeros(3), np.zeros(5), np.zeros((1, 4)), 0.0):
+            with pytest.raises(ArityMismatch):
+                f(theta, data)
+
+
+def test_check_theta_pins_empty_tilt_alpha(rng):
+    data = make_fused(rng, tilts=("-", "x"))   # theta = (alpha_1, alpha_2, beta_2)
+    for f in (profile_loglik, score, hessian):
+        with pytest.raises(ArityMismatch):
+            f(np.array([0.3, 0.1, 0.2]), data)
+        f(np.array([0.0, 0.1, 0.2]), data)     # pinned at exactly 0 is fine
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +146,10 @@ def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
         data = validate([Sample.reference("r", ref)]
                         + [Sample.neighbor(f"n{k}", v) for k, v in enumerate(nbs)],
                         [spec for _, spec in data.neighbors])
+    tilted = np.array([spec.r > 0 for _, spec in data.neighbors])
     for _ in range(3):
-        flat = rng.normal(0, 0.2, data.m + data.r)
-        flat[:data.m] *= np.array(data.dims) > 0   # an empty tilt pins alpha at 0
-        theta = Theta.from_flat(flat, data.dims)
+        theta = rng.normal(0, 0.2, data.m + data.r)
+        theta[:data.m] *= tilted   # an empty tilt pins alpha at 0
         s_ref, H_ref = blocks_oracle.score_hessian(theta, data)
         s, H = score(theta, data), hessian(theta, data)
         assert np.max(np.abs(s - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
@@ -151,36 +157,28 @@ def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
 
 
 def _fd_score(theta, data, h=1e-6):
-    flat = theta.flat
-    out = np.empty(flat.size)
-    for j in range(flat.size):
-        up, dn = flat.copy(), flat.copy()
+    out = np.empty(theta.size)
+    for j in range(theta.size):
+        up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
-        out[j] = (
-            profile_loglik(Theta.from_flat(up, data.dims), data)
-            - profile_loglik(Theta.from_flat(dn, data.dims), data)
-        ) / (2 * h)
+        out[j] = (profile_loglik(up, data) - profile_loglik(dn, data)) / (2 * h)
     return out
 
 
 def _fd_hessian(theta, data, h=1e-6):
-    flat = theta.flat
-    out = np.empty((flat.size, flat.size))
-    for j in range(flat.size):
-        up, dn = flat.copy(), flat.copy()
+    out = np.empty((theta.size, theta.size))
+    for j in range(theta.size):
+        up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
-        out[:, j] = (
-            score(Theta.from_flat(up, data.dims), data)
-            - score(Theta.from_flat(dn, data.dims), data)
-        ) / (2 * h)
+        out[:, j] = (score(up, data) - score(dn, data)) / (2 * h)
     return out
 
 
 def test_score_matches_finite_differences(rng):
     data = make_fused(rng, sizes=(60, 50, 40))
-    theta = Theta.from_flat(rng.normal(0, 0.1, data.m + data.r), data.dims)
+    theta = rng.normal(0, 0.1, data.m + data.r)
     s = score(theta, data)
     fd = _fd_score(theta, data)
     assert np.max(np.abs(s - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6
@@ -193,13 +191,13 @@ def test_score_balanced_identical_at_zero():
         [Sample.reference("r", vals), Sample.neighbor("n", vals)],
         [TiltSpec.parse("x")],
     )
-    s = score(Theta.zeros(data.dims), data)
+    s = score(np.zeros(data.m + data.r), data)
     assert abs(s[0]) < 1e-12
 
 
 def test_hessian_symmetric_and_matches_finite_differences(rng):
     data = make_fused(rng, sizes=(60, 50, 40))
-    theta = Theta.from_flat(rng.normal(0, 0.1, data.m + data.r), data.dims)
+    theta = rng.normal(0, 0.1, data.m + data.r)
     H = hessian(theta, data)
     assert np.array_equal(H, H.T)
     fd = _fd_hessian(theta, data)
@@ -209,7 +207,7 @@ def test_hessian_symmetric_and_matches_finite_differences(rng):
 
 def test_hessian_negative_semidefinite(rng):
     data = make_fused(rng)
-    theta = Theta.from_flat(rng.normal(0, 0.2, data.m + data.r), data.dims)
+    theta = rng.normal(0, 0.2, data.m + data.r)
     assert np.linalg.eigvalsh(hessian(theta, data)).max() < 1e-8
 
 
@@ -249,8 +247,9 @@ def test_fit_identical_copies_recovers_zero():
         [TiltSpec.parse("x")],
     )
     model = fit(data)
-    assert abs(model.theta.beta[0][0]) <= 1e-6
-    assert abs(model.theta.alpha[0]) <= 1e-6
+    alpha, beta = model.theta   # m = 1, tilt (x)
+    assert abs(beta) <= 1e-6
+    assert abs(alpha) <= 1e-6
 
 
 def test_fit_matches_derivative_free_optimizer(rng):
@@ -258,11 +257,11 @@ def test_fit_matches_derivative_free_optimizer(rng):
     model = fit(data)
 
     def negl(v):
-        return -profile_loglik(Theta.from_flat(v, data.dims), data)
+        return -profile_loglik(v, data)
 
     res = minimize(negl, np.zeros(2), method="Nelder-Mead",
                    options=dict(xatol=1e-10, fatol=1e-14, maxiter=100_000, maxfev=100_000))
-    assert np.max(np.abs(res.x - model.theta.flat)) < 1e-6
+    assert np.max(np.abs(res.x - model.theta)) < 1e-6
 
 
 def test_fit_constraints_hold_at_optimum(rng):
@@ -271,7 +270,7 @@ def test_fit_constraints_hold_at_optimum(rng):
     assert abs(model.weights.sum() - 1.0) < 1e-10
     assert (model.weights > 0).all()
     # sum_i p_i w_k(t_i) = 1 for every neighbor, via the bounded ratio form
-    q = np.exp(_kernels.eta_matrix(model.theta.flat, data) - model.logD[:, None])
+    q = np.exp(_kernels.eta_matrix(model.theta, data) - model.logD[:, None])
     for k in range(data.m):
         assert abs(q[:, k].sum() / data.n0 - 1.0) < 1e-8
     assert model.score_norm <= 1e-8 * data.n
@@ -299,8 +298,7 @@ def test_fit_monotone_ascent(rng, monkeypatch):
     monkeypatch.setattr(likelihood, "_score_hessian", recording_derivatives)
     theta = likelihood._fit_core(data)[0]
     last = max(i for i, th in enumerate(visited) if th is theta)
-    trace = np.array([profile_loglik(Theta.from_flat(th, data.dims), data)
-                      for th in visited[:last + 1]])
+    trace = np.array([profile_loglik(th, data) for th in visited[:last + 1]])
     assert trace.size > 2
     tol = 4 * EPS * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -tol)
@@ -330,10 +328,12 @@ def test_fit_label_equivariance(rng):
     ta, tb = TiltSpec.parse("logx"), TiltSpec.parse("x,log2x")
     m1 = fit(validate([ref, a, b], [ta, tb]))
     m2 = fit(validate([ref, b, a], [tb, ta]))
-    assert m1.theta.alpha[0] == pytest.approx(m2.theta.alpha[1], abs=1e-9)
-    assert m1.theta.alpha[1] == pytest.approx(m2.theta.alpha[0], abs=1e-9)
-    assert np.allclose(m1.theta.beta[0], m2.theta.beta[1], atol=1e-9)
-    assert np.allclose(m1.theta.beta[1], m2.theta.beta[0], atol=1e-9)
+    (a1, b1), (a2, b2) = blocks_oracle.split_theta(m1.theta, m1.data)
+    (c1, d1), (c2, d2) = blocks_oracle.split_theta(m2.theta, m2.data)
+    assert a1 == pytest.approx(c2, abs=1e-9)
+    assert a2 == pytest.approx(c1, abs=1e-9)
+    assert np.allclose(b1, d2, atol=1e-9)
+    assert np.allclose(b2, d1, atol=1e-9)
     # weights agree as a function of the point value
     w1 = dict(zip(m1.data.t.tolist(), m1.weights.tolist()))
     w2 = dict(zip(m2.data.t.tolist(), m2.weights.tolist()))
@@ -351,7 +351,9 @@ def test_fit_units_reparameterization(rng):
         [TiltSpec.parse("x")],
     )
     model_c = fit(scaled)
-    assert model_c.theta.beta[0][0] == pytest.approx(model.theta.beta[0][0] / c, rel=1e-7)
+    (_, beta), = blocks_oracle.split_theta(model.theta, data)
+    (_, beta_c), = blocks_oracle.split_theta(model_c.theta, scaled)
+    assert beta_c[0] == pytest.approx(beta[0] / c, rel=1e-7)
     assert np.allclose(model_c.weights, model.weights, atol=1e-10)
 
 
@@ -361,8 +363,10 @@ def test_fit_empty_tilt_pins_alpha(rng):
     g = Sample.neighbor("g", rng.gamma(2.0, 0.5, 150))
     data = validate([ref, same, g], [TiltSpec(()), TiltSpec.parse("logx")])
     model = fit(data)
-    assert model.theta.alpha[0] == 0.0
-    assert model.theta.beta[0].size == 0
+    alpha, beta = blocks_oracle.split_theta(model.theta, data)[0]
+    assert alpha == 0.0
+    assert beta.size == 0
+    assert not model.theta.flags.writeable
     assert abs(model.weights.sum() - 1.0) < 1e-10
 
 

@@ -12,7 +12,7 @@ from drmfuse import (
     miae_mise,
     run_comparison,
 )
-from drmfuse.simulation import ExcessiveFailures
+from drmfuse.simulation import ESTIMATORS, ExcessiveFailures
 from drmfuse import simulation
 
 
@@ -80,8 +80,6 @@ def test_simconfig_validation():
         SimConfig(grid=(5.0, 1.0, 100))
     with pytest.raises(ArityMismatch):
         SimConfig(replications=0)
-    with pytest.raises(ArityMismatch):
-        SimConfig(estimators=("uniform", "bogus"))
     assert SimConfig().delta == pytest.approx(0.01)
 
 
@@ -100,7 +98,7 @@ def test_run_comparison_bit_identical_for_same_seed():
     t1 = run_comparison(cfg)
     t2 = run_comparison(cfg)
     assert t1.rows == t2.rows
-    for name in cfg.estimators:
+    for name in ESTIMATORS:
         assert np.array_equal(t1.per_replicate[name], t2.per_replicate[name])
     assert t1.to_delimited() == t2.to_delimited()
 
