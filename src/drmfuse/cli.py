@@ -1,7 +1,10 @@
 """Command-line interface: ingestion, the two-stage workflow, plot-ready output.
 
 Input files are UTF-8 CSV with header ``region,period,value`` (comma
-separated, decimal point). Subcommands:
+separated, decimal point), with or without a leading byte-order mark. Fields
+follow CSV quoting; blank and whitespace-only lines are skipped and fields
+are stripped. A row without three fields or with a value that is not a
+finite number is an input error naming the first such line. Subcommands:
 
   refine     per-period pairwise tilt selection (one row per period, plus a
              pooled row when several periods are selected)
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,8 +75,24 @@ class IngestResult:
         return [self.reference, *self.neighbors]
 
 
+# Rows parsed per block. A block bounds the reader's working memory whatever
+# the file size, and is large enough that per-block numpy calls are amortized.
+_BLOCK_ROWS = 1024
+
+
 def _read_rows(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """The file's columns: ``((region_labels, region_codes), (period_labels,
+    period_codes), values)``.
+
+    Labels are the sorted distinct stripped fields, and each code array holds
+    one index into its labels per data row. Rows are read in blocks of
+    ``_BLOCK_ROWS``; a block that fails to parse is re-read row by row, so the
+    first faulty line in the file is the one reported.
+    """
+    region_code: dict[str, int] = {}
+    period_code: dict[str, int] = {}
+    regions, periods, values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -80,19 +100,68 @@ def _read_rows(path: str):
             raise ParseError(1, "empty file") from None
         if [h.strip().lower() for h in header] != ["region", "period", "value"]:
             raise ParseError(1, f"expected header region,period,value, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
-            region, period, raw = (f.strip() for f in row)
+        line_no = 2
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
             try:
-                value = float(raw)
+                region, period, value = _parse_block(block)
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError(line_no, f"bad value {raw!r}")
-            yield region, period, value
+                _raise_first_fault(block, line_no)
+                raise
+            regions.append(_codes(region, region_code))
+            periods.append(_codes(period, period_code))
+            values.append(value)
+            line_no += len(block)
+    return (_labels(region_code, np.concatenate(regions)),
+            _labels(period_code, np.concatenate(periods)), np.concatenate(values))
+
+
+def _parse_block(block: list[list[str]]):
+    """(region fields, period fields, values) of a block's non-blank rows.
+
+    Raises ValueError on any faulty row.
+    """
+    if set(map(len, block)) != {3}:
+        block = [row for row in block if row and (len(row) != 1 or row[0].strip())]
+        if not block:
+            return (), (), np.empty(0)
+        if set(map(len, block)) != {3}:
+            raise ValueError("row width")
+    region, period, raw = zip(*block)
+    value = np.fromiter(map(float, raw), float, len(raw))
+    if not np.isfinite(value).all():
+        raise ValueError("non-finite value")
+    return region, period, value
+
+
+def _raise_first_fault(block: list[list[str]], first_line: int) -> None:
+    """Raise ParseError for the first faulty row of a block that failed to parse."""
+    for line_no, row in enumerate(block, start=first_line):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
+        raw = row[2].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(line_no, f"bad value {raw!r}")
+
+
+def _codes(fields: tuple[str, ...], code: dict[str, int]) -> np.ndarray:
+    """Each raw field's code, adding the fields ``code`` has not seen yet."""
+    for field in dict.fromkeys(fields):
+        code.setdefault(field, len(code))
+    return np.fromiter(map(code.__getitem__, fields), np.intp, len(fields))
+
+
+def _labels(code: dict[str, int], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted stripped labels, and the raw-field codes mapped to indices into them."""
+    stripped = [field.strip() for field in code]    # in code order
+    labels = sorted(set(stripped))
+    index = {label: i for i, label in enumerate(labels)}
+    return tuple(labels), np.array([index[s] for s in stripped], np.intp)[codes]
 
 
 def ingest(
@@ -106,7 +175,7 @@ def ingest(
     Rows with value <= 0 are dropped and counted per region; rows for regions
     outside the requested set are ignored.
     """
-    return _partition(_read_rows(path), _regions(reference_region, neighbor_regions),
+    return _partition(*_read_rows(path), _regions(reference_region, neighbor_regions),
                       period_filter)
 
 
@@ -117,33 +186,32 @@ def _regions(reference_region: str, neighbor_regions: list[str]) -> list[str]:
     return wanted
 
 
-def _partition(rows, wanted: list[str], period_filter: set[str] | None) -> IngestResult:
-    """Samples for the regions in ``wanted`` (reference first) from parsed rows."""
-    values: dict[str, list[float]] = {rg: [] for rg in wanted}
-    rejected: dict[str, int] = {rg: 0 for rg in wanted}
-    seen_regions: set[str] = set()
-    periods: set[str] = set()
-    for region, period, value in rows:
-        periods.add(period)
-        if region not in values:
-            continue
-        seen_regions.add(region)
-        if period_filter is not None and period not in period_filter:
-            continue
-        if value <= 0.0:
-            rejected[region] += 1
-            continue
-        values[region].append(value)
+def _partition(regions, periods, values: np.ndarray, wanted: list[str],
+               period_filter: set[str] | None) -> IngestResult:
+    """Samples for the regions in ``wanted`` (reference first) from the columns
+    ``_read_rows`` returns."""
+    region_labels, region_codes = regions
+    period_labels, period_codes = periods
+    index = {label: i for i, label in enumerate(region_labels)}
+    positive = values > 0.0
+    in_filter = np.array([period_filter is None or p in period_filter for p in period_labels],
+                         bool)[period_codes]
+    samples: list[np.ndarray] = []
+    rejected: dict[str, int] = {}
     for rg in wanted:
-        if rg not in seen_regions:
+        if rg not in index:
             raise UnknownRegion(rg)
-        if not values[rg]:
+        rows = (region_codes == index[rg]) & in_filter
+        kept = values[rows & positive]
+        if not kept.size:
             raise EmptyAfterFilter(rg)
+        rejected[rg] = int(np.count_nonzero(rows)) - kept.size
+        samples.append(kept)
     return IngestResult(
-        reference=Sample.reference(wanted[0], np.asarray(values[wanted[0]])),
-        neighbors=tuple(Sample.neighbor(rg, np.asarray(values[rg])) for rg in wanted[1:]),
+        reference=Sample.reference(wanted[0], samples[0]),
+        neighbors=tuple(Sample.neighbor(rg, v) for rg, v in zip(wanted[1:], samples[1:])),
         rejected=rejected,
-        periods_seen=tuple(sorted(periods)),
+        periods_seen=period_labels,
     )
 
 
@@ -218,21 +286,22 @@ def _check_alpha(args) -> None:
 
 def _fit_from_args(args):
     _check_alpha(args)
-    period_filter = _periods_as_filter(args)
-    ing = ingest(args.data, args.reference, _split_list(args.neighbors), period_filter)
+    wanted = _regions(args.reference, _split_list(args.neighbors))
+    regions, periods, values = _read_rows(args.data)
+    ing = _partition(regions, periods, values, wanted, _periods_as_filter(args, periods[0]))
     _report_rejections(ing)
     tilts = _resolve_tilts(args.tilt, ing, args.alpha)
     data = validate(ing.samples(), tilts)
     return likelihood.fit(data), ing, tilts
 
 
-def _periods_as_filter(args) -> set[str] | None:
+def _periods_as_filter(args, available: tuple[str, ...]) -> set[str] | None:
+    """The --periods request over the file's period labels; None keeps every period."""
     if args.periods.strip().lower() == "all":
         return None
-    labels = _split_list(args.periods)
-    if not labels:
+    if not _split_list(args.periods):
         raise ConfigError("--periods must be 'all' or a non-empty label list")
-    return set(labels)
+    return set(_resolve_periods(args.periods, available))
 
 
 def _report_rejections(ing: IngestResult) -> None:
@@ -278,15 +347,16 @@ def cmd_refine(args) -> int:
     _check_alpha(args)
     neighbor_names = _split_list(args.neighbors)
     wanted = _regions(args.reference, neighbor_names)
-    rows = list(_read_rows(args.data))    # read once, partitioned per period below
-    periods = _resolve_periods(args.periods, _partition(rows, wanted, None).periods_seen)
+    region_col, period_col, value = _read_rows(args.data)   # partitioned per period below
+    periods = _resolve_periods(
+        args.periods, _partition(region_col, period_col, value, wanted, None).periods_seen)
     # tilt strings contain commas, so rows are CSV-quoted
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["period", *neighbor_names])
 
     def row(label: str, period_filter: set[str] | None):
-        ing = _partition(rows, wanted, period_filter)
+        ing = _partition(region_col, period_col, value, wanted, period_filter)
         tilts = inference.refine_tilts(ing.reference, list(ing.neighbors), args.alpha)
         writer.writerow([label, *(spec.format() for spec in tilts)])
 

@@ -1,8 +1,11 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drmfuse.cli as cli
+import ingest_oracle
 from drmfuse import GLOBAL_TILT, TiltSpec, validate
 from drmfuse.cli import (
     ConfigError,
@@ -123,6 +126,40 @@ def test_non_finite_value_is_a_parse_error(tmp_path, capsys, raw):
     assert exc.value.line_no == 4
     assert main(["fit", str(path), "--reference", "Beaver", "--neighbors", "Butler"]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_fault_in_second_block_names_its_line(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = [[("Beaver", "Butler")[i % 2], "p", repr(float(v))]
+            for i, v in enumerate(rng.lognormal(1.0, 0.8, 2 * cli._BLOCK_ROWS))]
+    path = tmp_path / "blocks.csv"
+    write_csv(path, rows)
+    res = ingest(str(path), "Beaver", ["Butler"], None)
+    want = ingest_oracle.ingest(str(path), ["Beaver", "Butler"], None)
+    assert res.reference.values.tobytes() == want.reference.values.tobytes()
+    assert res.neighbors[0].values.tobytes() == want.neighbors[0].values.tobytes()
+    # a faulty row in the second block, then an ignored region's inf after it
+    bad = cli._BLOCK_ROWS + 200
+    rows[bad - 2] = ["Beaver", "p", " 1.5x "]
+    rows[bad + 100] = ["Elsewhere", "p", "inf"]
+    write_csv(path, rows)
+    for read in (lambda: ingest(str(path), "Beaver", ["Butler"], None),
+                 lambda: ingest_oracle.ingest(str(path), ["Beaver", "Butler"], None)):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert exc.value.line_no == bad
+        assert str(exc.value) == f"line {bad}: bad value '1.5x'"
+
+
+def test_utf8_bom_is_ignored(tmp_path, radon_csv, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff".encode() + Path(radon_csv).read_bytes())
+    plain = ingest(radon_csv, "Beaver", ["Butler", "Allegheny"], None)
+    bom = ingest(str(path), "Beaver", ["Butler", "Allegheny"], None)
+    for a, b in zip(plain.samples(), bom.samples()):
+        assert a.label == b.label and a.values.tobytes() == b.values.tobytes()
+    assert (bom.rejected, bom.periods_seen) == (plain.rejected, plain.periods_seen)
+    assert main(["fit", *_flags(str(path), "--tilt", "global")]) == 0
 
 
 def test_roundtrip_write_then_ingest(tmp_path, radon_csv):
@@ -310,3 +347,11 @@ def test_period_selection_flags(radon_csv, capsys):
                                 "--periods", "89-93,94-98")]) == 0
     assert main(["fit", *_flags(radon_csv, "--tilt", "global",
                                 "--periods", "12-34")]) == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "threshold", "gof", "refine"])
+@pytest.mark.parametrize("periods", ["89-93,q", "q"])
+def test_unknown_period_label_is_an_input_error(radon_csv, capsys, command, periods):
+    assert main([command, *_flags(radon_csv, "--periods", periods)]) == 2
+    assert capsys.readouterr().err == (
+        "drmfuse: input error: period label(s) ['q'] not present in the file\n")
