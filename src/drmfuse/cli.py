@@ -24,6 +24,7 @@ import io
 import itertools
 import math
 import sys
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from . import inference, likelihood, simulation
 from .core import (
     ArityMismatch,
     DrmError,
-    FusedData,
     GLOBAL_TILT,
     InputError,
     NumericalError,
@@ -87,30 +87,38 @@ def _read_rows(path: str):
     Labels are the sorted distinct stripped fields, and each code array holds
     one index into its labels per data row. Rows are read in blocks of
     ``_BLOCK_ROWS``; a block that fails to parse is re-read row by row, so the
-    first faulty line in the file is the one reported.
+    first faulty line in the file is the one reported. A file that cannot be
+    read or decoded is an InputError, and a CSV syntax fault a ParseError.
     """
     region_code: dict[str, int] = {}
     period_code: dict[str, int] = {}
     regions, periods, values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty file") from None
-        if [h.strip().lower() for h in header] != ["region", "period", "value"]:
-            raise ParseError(1, f"expected header region,period,value, got {header!r}")
-        line_no = 2
-        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                region, period, value = _parse_block(block)
-            except ValueError:
-                _raise_first_fault(block, line_no)
-                raise
-            regions.append(_codes(region, region_code))
-            periods.append(_codes(period, period_code))
-            values.append(value)
-            line_no += len(block)
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(1, "empty file") from None
+            if [h.strip().lower() for h in header] != ["region", "period", "value"]:
+                raise ParseError(1, f"expected header region,period,value, got {header!r}")
+            line_no = 2
+            while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+                try:
+                    region, period, value = _parse_block(block)
+                except ValueError:
+                    _raise_first_fault(block, line_no)
+                    raise
+                regions.append(_codes(region, region_code))
+                periods.append(_codes(period, period_code))
+                values.append(value)
+                line_no += len(block)
+    except OSError as e:
+        raise InputError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None
+    except csv.Error as e:
+        raise ParseError(reader.line_num, str(e)) from None
     return (_labels(region_code, np.concatenate(regions)),
             _labels(period_code, np.concatenate(periods)), np.concatenate(values))
 
@@ -187,9 +195,9 @@ def _regions(reference_region: str, neighbor_regions: list[str]) -> list[str]:
 
 
 def _partition(regions, periods, values: np.ndarray, wanted: list[str],
-               period_filter: set[str] | None) -> IngestResult:
+               period_filter: Collection[str] | None) -> IngestResult:
     """Samples for the regions in ``wanted`` (reference first) from the columns
-    ``_read_rows`` returns."""
+    ``_read_rows`` returns; a ``period_filter`` of None keeps every period."""
     region_labels, region_codes = regions
     period_labels, period_codes = periods
     index = {label: i for i, label in enumerate(region_labels)}
@@ -213,18 +221,6 @@ def _partition(regions, periods, values: np.ndarray, wanted: list[str],
         rejected=rejected,
         periods_seen=period_labels,
     )
-
-
-def write_fused(data: FusedData, path: str, period: str = "all") -> None:
-    """Write a fused dataset back to the ingestion CSV format."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "period", "value"])
-        for v in data.reference.values:
-            writer.writerow([data.reference.label, period, repr(float(v))])
-        for sample, _ in data.neighbors:
-            for v in sample.values:
-                writer.writerow([sample.label, period, repr(float(v))])
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +256,13 @@ def parse_tilt_string(text: str, n_neighbors: int) -> list[TiltSpec]:
         raise ConfigError(str(e)) from None
 
 
-def _resolve_periods(arg: str, available: tuple[str, ...]) -> list[str]:
+def _resolve_periods(arg: str, available: tuple[str, ...]) -> list[str] | None:
+    """The --periods labels in request order, without repeats; None for 'all'."""
     if arg.strip().lower() == "all":
-        return list(available)
-    requested = _split_list(arg)
+        return None
+    requested = list(dict.fromkeys(_split_list(arg)))
+    if not requested:
+        raise ConfigError("--periods must be 'all' or a non-empty label list")
     missing = [p for p in requested if p not in available]
     if missing:
         raise InputError(f"period label(s) {missing!r} not present in the file")
@@ -288,20 +287,11 @@ def _fit_from_args(args):
     _check_alpha(args)
     wanted = _regions(args.reference, _split_list(args.neighbors))
     regions, periods, values = _read_rows(args.data)
-    ing = _partition(regions, periods, values, wanted, _periods_as_filter(args, periods[0]))
+    ing = _partition(regions, periods, values, wanted, _resolve_periods(args.periods, periods[0]))
     _report_rejections(ing)
     tilts = _resolve_tilts(args.tilt, ing, args.alpha)
     data = validate(ing.samples(), tilts)
     return likelihood.fit(data), ing, tilts
-
-
-def _periods_as_filter(args, available: tuple[str, ...]) -> set[str] | None:
-    """The --periods request over the file's period labels; None keeps every period."""
-    if args.periods.strip().lower() == "all":
-        return None
-    if not _split_list(args.periods):
-        raise ConfigError("--periods must be 'all' or a non-empty label list")
-    return set(_resolve_periods(args.periods, available))
 
 
 def _report_rejections(ing: IngestResult) -> None:
@@ -348,14 +338,15 @@ def cmd_refine(args) -> int:
     neighbor_names = _split_list(args.neighbors)
     wanted = _regions(args.reference, neighbor_names)
     region_col, period_col, value = _read_rows(args.data)   # partitioned per period below
-    periods = _resolve_periods(
-        args.periods, _partition(region_col, period_col, value, wanted, None).periods_seen)
+    periods = _resolve_periods(args.periods, period_col[0]) or list(period_col[0])
+    if not periods:   # no data rows, so no region has any
+        raise UnknownRegion(wanted[0])
     # tilt strings contain commas, so rows are CSV-quoted
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["period", *neighbor_names])
 
-    def row(label: str, period_filter: set[str] | None):
+    def row(label: str, period_filter: set[str]):
         ing = _partition(region_col, period_col, value, wanted, period_filter)
         tilts = inference.refine_tilts(ing.reference, list(ing.neighbors), args.alpha)
         writer.writerow([label, *(spec.format() for spec in tilts)])
@@ -481,7 +472,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"drmfuse: config error: {e}", file=sys.stderr)
         return 4
-    except (InputError, FileNotFoundError) as e:
+    except InputError as e:
         print(f"drmfuse: input error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

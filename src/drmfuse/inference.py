@@ -136,11 +136,10 @@ def refine_tilts(
         try:
             data = validate([reference, nb], [GLOBAL_TILT])
             pair_fit = likelihood.fit(data)
-            joint = chi_square_beta_test(pair_fit)
-            if joint.p_value >= alpha_level:
+            report = z_tests(pair_fit)
+            if report.p_value >= alpha_level:
                 out.append(TiltSpec(()))
                 continue
-            report = z_tests(pair_fit)
             kept = tuple(c.basis for c in report.per_component if c.p < alpha_level)
             out.append(TiltSpec(kept))
         except DrmError as e:

@@ -64,19 +64,16 @@ def _loglik_parts(theta: np.ndarray, data: FusedData):
 def score(theta: np.ndarray, data: FusedData) -> np.ndarray:
     """Gradient of l at the flat theta, length m + r, in the same layout."""
     logD, eta = log_denominators(_check_theta(theta, data), data)
-    s, _ = _score_hessian(eta, logD, data, want_hessian=False)
-    return s
+    return _score_hessian(eta, logD, data)[0]
 
 
 def hessian(theta: np.ndarray, data: FusedData) -> np.ndarray:
     """Exact second derivative of l at the flat theta, (m+r)x(m+r), symmetric and <= 0."""
     logD, eta = log_denominators(_check_theta(theta, data), data)
-    _, H = _score_hessian(eta, logD, data, want_hessian=True)
-    return H
+    return _score_hessian(eta, logD, data)[1]
 
 
-def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData,
-                   want_hessian: bool = True):
+def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData):
     """(s, H) from the tilt exponents and log-denominators of one theta."""
     m, nbr = data.m, data.nbr
     U = data.rho[1:] * np.exp(eta - logD[:, None])   # u_{ik} = rho_k w_k / D, in (0, 1)
@@ -87,8 +84,6 @@ def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData,
     s = data.obs - colsum
     if not np.isfinite(s).all():
         raise NonFinite("score")
-    if not want_hessian:
-        return s, None
 
     # d2 log D / d eta_k d eta_k' is the softmax covariance u_k (delta - u_k'),
     # so H = Psi' Psi - sum_k G_k' diag(u_k) G_k, with G_k = (1, h_k) and h_k
@@ -118,117 +113,81 @@ def _check_degenerate(data: FusedData):
         )
 
 
-def _fit_core(data: FusedData):
-    """Newton ascent with step halving on the flat theta.
-
-    Returns (theta, loglik, iters, score_norm, H, logD), with the full Hessian
-    and the log-denominators at the returned flat theta. Only the ``free``
-    coordinates move; the others stay pinned at 0. Each candidate costs one
-    pass over the tilt exponents; score and Hessian are derived from it only
-    when the candidate can be accepted. A short polish phase pushes the score
-    toward machine precision so the weight and moment constraints hold well
-    inside their tolerances.
-    """
-    n, free = data.n, data.free
-    sub = np.ix_(free, free)
-    theta = np.zeros(data.m + data.r)
-
-    l, logD, eta = _loglik_parts(theta, data)
-    s_full, H_full = _score_hessian(eta, logD, data)
-    s = s_full[free]
-    H = H_full[sub]
-    iterations = 0
-
-    def direction():
-        try:
-            d = np.linalg.solve(-H, s)
-            if np.isfinite(d).all() and d @ s > 0:
-                return d
-        except np.linalg.LinAlgError:
-            pass
-        return s / n  # steepest-ascent fallback
-
-    sn = float(np.max(np.abs(s))) if s.size else 0.0
-    while sn > _GRAD_TOL * n:
-        if iterations >= _MAX_ITERATIONS:
-            raise NoConvergence(iterations, sn)
-        d = direction()
-        lam = 1.0
-        accepted = False
-        for _ in range(_STEP_HALVING_MAX):
-            cand = theta.copy()
-            cand[free] += lam * d
-            try:
-                l2, logD2, eta2 = _loglik_parts(cand, data)
-            except NonFinite:
-                lam *= 0.5
-                continue
-            if l2 >= l - 4 * _EPS * max(1.0, abs(l)):
-                # an ascent is accepted; a float-stationary l only if the step
-                # still shrinks the score
-                s2_full, H2_full = _score_hessian(eta2, logD2, data)
-                if l2 > l or np.max(np.abs(s2_full[free])) < sn:
-                    theta, l, logD = cand, l2, logD2
-                    s_full, H_full = s2_full, H2_full
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            raise NoConvergence(iterations, sn)
-        iterations += 1
-        s = s_full[free]
-        H = H_full[sub]
-        sn = float(np.max(np.abs(s)))
-
-    # Polish: a few full Newton steps so constraint residuals reach ~1e-12 * n.
-    for _ in range(5):
-        if sn <= 64 * _EPS * n or not s.size:
-            break
-        try:
-            d = np.linalg.solve(-H, s)
-        except np.linalg.LinAlgError:
-            break
-        cand = theta.copy()
-        cand[free] += d
-        try:
-            l2, logD2, eta2 = _loglik_parts(cand, data)
-            s2_full, H2_full = _score_hessian(eta2, logD2, data)
-        except NonFinite:
-            break
-        sn2 = float(np.max(np.abs(s2_full[free])))
-        if l2 < l - 4 * _EPS * max(1.0, abs(l)) or sn2 >= sn:
-            break
-        theta, l, logD = cand, l2, logD2
-        s_full, H_full = s2_full, H2_full
-        s = s_full[free]
-        H = H_full[sub]
-        sn = sn2
-        iterations += 1
-
-    score_norm = float(np.max(np.abs(s_full))) if s_full.size else 0.0
-    return theta, l, iterations, score_norm, H_full, logD
-
-
 def fit(data: FusedData) -> FittedModel:
     """Maximize the profile log-likelihood; returns the fitted model.
 
-    Raises NoConvergence if the Newton iteration stalls, SingularHessian for
-    degenerate models (a tilt basis constant over the data), SingularMatrix
-    when S is singular or ill-conditioned.
+    One damped Newton loop on the flat theta, with no options. Only the
+    ``free`` coordinates move; the others stay pinned at 0. Each candidate
+    costs one pass over the tilt exponents; score and Hessian are derived from
+    it only when it can be accepted. While the score exceeds ``_GRAD_TOL * n``
+    the loop ascends: it halves the step until l rises or the score shrinks,
+    falling back to steepest ascent when the Newton direction is unusable.
+    Below that it polishes: at most five full Newton steps, each kept only if
+    it shrinks the score, so the weight and moment constraints hold well
+    inside their tolerances; a polish step that fails ends the fit.
+
+    Raises NoConvergence if the ascent stalls, SingularHessian for degenerate
+    models (a tilt basis constant over the data), SingularMatrix when S is
+    singular or ill-conditioned.
 
     The profile log-likelihood is the concave dual of the empirical
     likelihood, so the plug-in information is S = -H / n at the optimum
     (Qin 1998, Biometrika 85:619); it is taken from the final Newton Hessian.
     """
     _check_degenerate(data)
-    theta, loglik, iterations, score_norm, H, logD = _fit_core(data)
-    S = -H / data.n
+    n, free = data.n, data.free
+    sub = np.ix_(free, free)
+    theta = np.zeros(data.m + data.r)
+    l, logD, eta = _loglik_parts(theta, data)
+    s_full, H_full = _score_hessian(eta, logD, data)
+    s, H = s_full[free], H_full[sub]
+    sn = float(np.max(np.abs(s))) if s.size else 0.0
+    iterations = polished = 0
+
+    while sn > 64 * _EPS * n and polished < 5:
+        polishing = sn <= _GRAD_TOL * n
+        if not polishing and iterations >= _MAX_ITERATIONS:
+            raise NoConvergence(iterations, sn)
+        try:
+            d = np.linalg.solve(-H, s)
+            newton = np.isfinite(d).all() and d @ s > 0
+        except np.linalg.LinAlgError:
+            if polishing:
+                break
+            newton = False
+        if not (newton or polishing):
+            d = s / n  # steepest-ascent fallback
+        for k in range(1 if polishing else _STEP_HALVING_MAX):
+            cand = theta.copy()
+            cand[free] += 0.5 ** k * d
+            try:
+                l2, logD2, eta2 = _loglik_parts(cand, data)
+                if l2 < l - 4 * _EPS * max(1.0, abs(l)):
+                    continue
+                s2_full, H2_full = _score_hessian(eta2, logD2, data)
+            except NonFinite:
+                continue
+            sn2 = float(np.max(np.abs(s2_full[free])))
+            # the ascent takes a rise in l; a float-stationary l, or any polish
+            # step, only if the step shrinks the score
+            if sn2 < sn or (l2 > l and not polishing):
+                break
+        else:
+            if polishing:
+                break
+            raise NoConvergence(iterations, sn)
+        theta, l, logD, s_full, H_full = cand, l2, logD2, s2_full, H2_full
+        s, H, sn = s_full[free], H_full[sub], sn2
+        iterations += 1
+        polished += polishing
+
     theta.flags.writeable = False
+    S = -H_full / n
     return FittedModel(
         theta=theta,
         weights=fused_weights(logD, data),
-        loglik=loglik,
-        score_norm=score_norm,
+        loglik=l,
+        score_norm=float(np.max(np.abs(s_full))) if s_full.size else 0.0,
         iterations=iterations,
         S=S,
         Sigma=asymptotics.Sigma_matrix(S, data.rho),

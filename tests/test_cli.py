@@ -15,7 +15,6 @@ from drmfuse.cli import (
     ingest,
     main,
     parse_tilt_string,
-    write_fused,
 )
 
 
@@ -162,16 +161,6 @@ def test_utf8_bom_is_ignored(tmp_path, radon_csv, capsys):
     assert main(["fit", *_flags(str(path), "--tilt", "global")]) == 0
 
 
-def test_roundtrip_write_then_ingest(tmp_path, radon_csv):
-    res = ingest(radon_csv, "Beaver", ["Butler"], None)
-    data = validate(res.samples(), [TiltSpec.parse("x,logx")])
-    out = tmp_path / "rt.csv"
-    write_fused(data, str(out))
-    back = ingest(str(out), "Beaver", ["Butler"], None)
-    assert np.array_equal(back.reference.values, data.reference.values)
-    assert np.array_equal(back.neighbors[0].values, data.neighbors[0][0].values)
-
-
 # ---------------------------------------------------------------------------
 # tilt grammar
 # ---------------------------------------------------------------------------
@@ -305,8 +294,26 @@ def test_cmd_out_flag_writes_file(radon_csv, tmp_path, capsys):
 
 
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
-    assert main(["fit", str(tmp_path / "nope.csv"),
-                 "--reference", "A", "--neighbors", "B"]) == 2
+    path = tmp_path / "nope.csv"
+    assert main(["fit", str(path), "--reference", "A", "--neighbors", "B"]) == 2
+    assert capsys.readouterr().err == (
+        f"drmfuse: input error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "refine"])
+def test_exit_code_2_on_unreadable_file(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("region,period,value\nA,p,1.0\nZ\u00fcrich,p,2.0\n".encode("latin-1"))
+    wide = tmp_path / "wide.csv"
+    wide.write_text('region,period,value\nA,p,1.0\nA,p,"' + "9" * 140_000 + '"\n')
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("region,period,value\n")
+    for path, message in ((tmp_path, "Is a directory"), (latin1, "not UTF-8 text"),
+                          (wide, "line 3: field larger than field limit"),
+                          (header_only, "region 'A' has no rows in the input file")):
+        assert main([command, str(path), "--reference", "A", "--neighbors", "B"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("drmfuse: input error: ") and message in err, err
 
 
 def test_exit_code_2_on_unknown_region(radon_csv, capsys):
@@ -355,3 +362,19 @@ def test_unknown_period_label_is_an_input_error(radon_csv, capsys, command, peri
     assert main([command, *_flags(radon_csv, "--periods", periods)]) == 2
     assert capsys.readouterr().err == (
         "drmfuse: input error: period label(s) ['q'] not present in the file\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "threshold", "gof", "refine"])
+def test_empty_period_list_is_a_config_error(radon_csv, capsys, command):
+    assert main([command, *_flags(radon_csv, "--periods", " , ")]) == 4
+    assert capsys.readouterr().err == (
+        "drmfuse: config error: --periods must be 'all' or a non-empty label list\n")
+
+
+def test_cmd_refine_repeated_period_is_one_row(radon_csv, capsys):
+    assert main(["refine", *_flags(radon_csv, "--periods", "94-98,89-93,94-98")]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[0] for row in rows[1:]] == ["94-98", "89-93", "pooled"]
+    assert main(["refine", *_flags(radon_csv, "--periods", "89-93,89-93")]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[0] for row in rows[1:]] == ["89-93"]

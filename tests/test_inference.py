@@ -17,6 +17,7 @@ from drmfuse import (
     validate,
     z_tests,
 )
+from drmfuse import inference
 from drmfuse.simulation import generate
 
 from conftest import make_fused, make_pair
@@ -148,9 +149,18 @@ def test_refine_identical_copy_is_equidistributed(rng):
     assert tilts == [TiltSpec(())]
 
 
-def test_refine_returns_one_spec_per_neighbor_and_is_deterministic():
+def test_refine_returns_one_spec_per_neighbor_and_is_deterministic(monkeypatch):
     ref, g, ln = generate(15, (1000, 1000, 1000))
+    calls = []
+    joint_test = inference.chi_square_beta_test
+
+    def counting(fit2):
+        calls.append(fit2)
+        return joint_test(fit2)
+
+    monkeypatch.setattr(inference, "chi_square_beta_test", counting)
     tilts1 = refine_tilts(ref, [g, ln])
+    assert len(calls) == 2   # one joint test per neighbor, rejected ones included
     tilts2 = refine_tilts(ref, [g, ln])
     assert tilts1 == tilts2
     assert len(tilts1) == 2

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 
 from drmfuse import (
     ArityMismatch,
+    GLOBAL_TILT,
     NoConvergence,
     NonFinite,
     Sample,
@@ -20,8 +21,10 @@ from drmfuse import (
 )
 from drmfuse.core import basis_matrix
 from drmfuse import _kernels, likelihood
+from drmfuse.simulation import REFINED_TILTS, UNIFORM_TILTS, generate
 
 import blocks_oracle
+import newton_oracle
 from conftest import make_fused, make_pair
 
 EPS = np.finfo(float).eps
@@ -134,18 +137,23 @@ def test_tilt_arrays_are_column_major(rng):
 # score / hessian: the per-neighbor oracle and finite differences
 # ---------------------------------------------------------------------------
 
+def _tied(data):
+    """``data`` with its values rounded to 0.1 (plus 0.1, to stay positive), so
+    every value is repeated across and within samples."""
+    vals = np.round(data.t, 1) + 0.1
+    ref, *nbs = np.split(vals, np.cumsum(data.n_k)[:-1].astype(int))
+    return validate([Sample.reference("r", ref)]
+                    + [Sample.neighbor(f"n{k}", v) for k, v in enumerate(nbs)],
+                    [spec for _, spec in data.neighbors])
+
+
 @pytest.mark.parametrize("tilts", [("x,logx,log2x", "x,logx,log2x"), ("logx", "x"),
                                    ("", "x,log2x"), ("x,log2x", "")])
 @pytest.mark.parametrize("tied", [False, True])
 def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
     data = make_fused(rng, tilts=tilts)
-    if tied:  # every value repeated across and within samples
-        vals = np.round(data.t, 1) + 0.1
-        cuts = np.cumsum(data.n_k)[:-1].astype(int)
-        ref, *nbs = np.split(vals, cuts)
-        data = validate([Sample.reference("r", ref)]
-                        + [Sample.neighbor(f"n{k}", v) for k, v in enumerate(nbs)],
-                        [spec for _, spec in data.neighbors])
+    if tied:
+        data = _tied(data)
     tilted = np.array([spec.r > 0 for _, spec in data.neighbors])
     for _ in range(3):
         theta = rng.normal(0, 0.2, data.m + data.r)
@@ -290,18 +298,54 @@ def test_fit_monotone_ascent(rng, monkeypatch):
         evaluated.append((out[2], theta))
         return out
 
-    def recording_derivatives(eta, logD, data, want_hessian=True):
+    def recording_derivatives(eta, logD, data):
         visited.append(next(th for e, th in evaluated if e is eta))
-        return score_hessian(eta, logD, data, want_hessian)
+        return score_hessian(eta, logD, data)
 
     monkeypatch.setattr(likelihood, "_loglik_parts", recording_loglik)
     monkeypatch.setattr(likelihood, "_score_hessian", recording_derivatives)
-    theta = likelihood._fit_core(data)[0]
+    theta = fit(data).theta
     last = max(i for i, th in enumerate(visited) if th is theta)
     trace = np.array([profile_loglik(th, data) for th in visited[:last + 1]])
     assert trace.size > 2
     tol = 4 * EPS * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) >= -tol)
+
+
+def _parity_cases():
+    rng = np.random.default_rng(31)
+    for seed in range(8):
+        samples = generate(seed, (1000, 1000, 1000))
+        for tilts in (UNIFORM_TILTS, REFINED_TILTS):
+            yield f"generate-{seed}-{tilts[0].format()}", validate(list(samples), list(tilts))
+    # in units 100 times larger the score stalls above the polish target, so
+    # the polish rejects candidates, some of which still raise l
+    ref, *nbs = generate(0, (150, 120, 100))
+    yield "units-x100", validate([Sample.reference(ref.label, 100 * ref.values)]
+                                 + [Sample.neighbor(nb.label, 100 * nb.values) for nb in nbs],
+                                 list(REFINED_TILTS))
+    yield "pair-global", make_pair(rng, tilt="x,logx,log2x")
+    ref = Sample.reference("r", rng.exponential(0.5, 2500))
+    nbs = [Sample.neighbor("g2", rng.gamma(2.0, 0.5, 2500)),
+           Sample.neighbor("ln", rng.lognormal(0.0, 0.8, 2500)),
+           Sample.neighbor("e", rng.exponential(0.7, 2500)),
+           Sample.neighbor("g3", rng.gamma(3.0, 0.3, 2500))]
+    yield "m4-5x2500", validate([ref, *nbs], [GLOBAL_TILT] * 4)
+    yield "empty-tilt", make_fused(rng, tilts=("", "x,log2x"))
+    yield "tied-0.1", _tied(make_fused(rng))
+
+
+def test_fit_matches_two_loop_oracle():
+    # the one-loop fitter against the ascent-then-polish route it replaced:
+    # same iterations, bit-identical theta, l, score norm, S and logD
+    for name, data in _parity_cases():
+        model = fit(data)
+        theta, loglik, iterations, score_norm, H, logD = newton_oracle.fit_core(data)
+        assert model.iterations == iterations, name
+        assert model.theta.tobytes() == theta.tobytes(), name
+        assert (model.loglik, model.score_norm) == (loglik, score_norm), name
+        assert model.S.tobytes() == (-H / data.n).tobytes(), name
+        assert model.logD.tobytes() == logD.tobytes(), name
 
 
 def test_fit_evaluates_the_exponents_once_per_candidate(rng, monkeypatch):
