@@ -222,7 +222,8 @@ class FusedData:
     order of each neighbor's tilt. ``obs = (n_1..n_m, suff)`` is the observed
     statistic, with ``suff[j]`` the sum of column ``col[j]`` over neighbor
     ``nbr[j]``'s sample, and ``free`` lists the flat indices not pinned at 0
-    (an empty tilt pins its alpha). All arrays are read-only.
+    (an empty tilt pins its alpha). ``n0`` and ``n`` are the reference and
+    fused sample sizes. All arrays are read-only.
     """
 
     reference: Sample
@@ -236,18 +237,12 @@ class FusedData:
     col: np.ndarray = field(repr=False)
     obs: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
+    n0: int = field(repr=False)
+    n: int = field(repr=False)
 
     @property
     def m(self) -> int:
         return len(self.neighbors)
-
-    @property
-    def n0(self) -> int:
-        return int(self.n_k[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.n_k.sum())
 
     @property
     def r(self) -> int:
@@ -295,6 +290,8 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
         col=_freeze(col, int),
         obs=_freeze(obs),
         free=_freeze(free, int),
+        n0=int(n_k[0]),
+        n=int(n_k.sum()),
     )
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import chi2, norm
 
 from . import asymptotics, likelihood
 from .core import (
@@ -75,6 +76,39 @@ def drm_cdf(fit: FittedModel) -> StepCDF:
     return StepCDF.from_weighted(fit.data.t, fit.weights)
 
 
+def _two_sided_p(z: float) -> float:
+    """P(|N(0, 1)| >= |z|)."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(chi-square with integer df > x): the regularized upper incomplete
+    gamma Q(df/2, x/2), from Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1)
+    started at Q(1, y) = e^-y (even df) or Q(1/2, y) = erfc(sqrt(y)) (odd df).
+    x <= 0 gives 1 and x = inf gives 0."""
+    if x == math.inf:
+        return 0.0   # the series terms would be inf * 0
+    y = max(x, 0.0) / 2.0   # max(nan, 0.0) is nan, so NaN propagates
+    if df % 2:
+        a, q, term = 0.5, math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
+    else:
+        a, q, term = 1.0, math.exp(-y), y * math.exp(-y)
+    while a < df / 2.0:
+        q += term
+        a += 1.0
+        term *= y / a
+    return q
+
+
+def _wald_z(level: float) -> float:
+    """Two-sided standard normal quantile for a confidence level in (0, 1).
+
+    Taken from the lower tail, where (1 - level) / 2 keeps its precision: the
+    upper-tail point 0.5 + level / 2 rounds to 1 at level = 1 - 2**-53.
+    """
+    return -NormalDist().inv_cdf((1.0 - level) / 2.0)
+
+
 def _beta_block(fit: FittedModel):
     m = fit.data.m
     if m != 1:
@@ -94,7 +128,7 @@ def chi_square_beta_test(fit2: FittedModel) -> TestReport:
     return TestReport(
         statistic=stat,
         df=beta.size,
-        p_value=float(chi2.sf(stat, beta.size)),
+        p_value=_chi2_sf(stat, beta.size),
     )
 
 
@@ -107,7 +141,7 @@ def z_tests(fit2: FittedModel) -> TestReport:
     for j, b in enumerate(fit2.data.neighbors[0][1].basis):
         var = Sigma_beta[j, j]
         z = float(beta[j] / np.sqrt(var / n)) if var > 0 else np.inf * np.sign(beta[j])
-        comps.append(ComponentTest(basis=b, z=z, p=float(2.0 * norm.sf(abs(z)))))
+        comps.append(ComponentTest(basis=b, z=z, p=_two_sided_p(z)))
     return TestReport(
         statistic=joint.statistic,
         df=joint.df,
@@ -165,7 +199,7 @@ def threshold_probability(
     T = np.asarray(T, dtype=float)
     if T.ndim != 1:
         raise ArityMismatch(f"thresholds must be a 1-d sequence, got shape {T.shape}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = _wald_z(level)
     # cumsum rounding can leave cdf(T) a few ulp outside [0, 1]
     prob = np.clip(1.0 - cdf(T), 0.0, 1.0)
     if isinstance(source, FittedModel):

@@ -1,9 +1,14 @@
 import csv
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drmfuse
 import drmfuse.cli as cli
 import ingest_oracle
 from drmfuse import GLOBAL_TILT, TiltSpec, validate
@@ -233,6 +238,20 @@ def test_cmd_threshold_block_shape(radon_csv, capsys):
     assert lo <= prob <= hi
 
 
+def test_cmd_threshold_tiny_alpha_gives_finite_intervals(radon_csv, capsys):
+    # level = 1 - 1e-16 rounds to nextafter(1, 0), whose upper-tail point
+    # 0.5 + level / 2 rounds to 1
+    rc = main(["threshold", *_flags(radon_csv, "--tilt", "global", "--alpha", "1e-16",
+                                    "--thresholds", "5,10")])
+    assert rc == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert len(rows) == 4
+    for row in rows:
+        prob, se, lo, hi = map(float, row[2:6])
+        assert all(math.isfinite(v) for v in (lo, hi))
+        assert (hi - lo) / (2.0 * se) == pytest.approx(8.2924, abs=1e-3)
+
+
 def test_cmd_gof_two_columns(radon_csv, capsys):
     rc = main(["gof", *_flags(radon_csv, "--tilt", "global")])
     assert rc == 0
@@ -378,3 +397,41 @@ def test_cmd_refine_repeated_period_is_one_row(radon_csv, capsys):
     assert main(["refine", *_flags(radon_csv, "--periods", "89-93,89-93")]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert [row[0] for row in rows[1:]] == ["89-93"]
+
+
+_NO_SCIPY = r"""
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import drmfuse
+from drmfuse.cli import main
+
+flags = [sys.argv[1], "--reference", "Beaver", "--neighbors", "Butler,Allegheny"]
+for argv in (["fit", *flags], ["threshold", *flags, "--thresholds", "5,10"],
+             ["gof", *flags], ["refine", *flags],
+             ["simulate", "--reps", "2", "--sizes", "150,150,150", "--grid", "0,10,50"]):
+    if main(argv) != 0:
+        sys.exit(f"drmfuse {argv[0]} failed")
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded}")
+"""
+
+
+def test_runs_without_scipy(radon_csv):
+    # numpy is the only runtime dependency: every subcommand runs with scipy
+    # made unimportable, and none of it is loaded
+    src = str(Path(drmfuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, radon_csv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

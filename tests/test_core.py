@@ -19,7 +19,8 @@ def test_validate_rho_arithmetic():
     ref = Sample.reference("r", [1.0, 2.0, 3.0])
     nb = Sample.neighbor("n", [1.0, 4.0])
     data = validate([ref, nb], [TiltSpec.parse("x")])
-    assert data.n == 5
+    assert data.n == 5 and data.n0 == 3
+    assert type(data.n) is int and type(data.n0) is int
     assert np.allclose(data.rho, [1.0, 2.0 / 3.0])
 
 

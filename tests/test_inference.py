@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
 from drmfuse import (
     ArityMismatch,
@@ -141,6 +144,72 @@ def test_z_tests_zero_component(rng):
         assert comp.p > 0.999
 
 
+@pytest.mark.parametrize("tilt", ["logx", "x,log2x", "x,logx,log2x"])
+def test_report_p_values_match_scipy(tilt):
+    ref, g, _ = generate(4242, (400, 400, 10))
+    model = fit(validate([ref, g], [TiltSpec.parse(tilt)]))
+    joint = chi_square_beta_test(model)
+    report = z_tests(model)
+    assert (report.statistic, report.df, report.p_value) == \
+        (joint.statistic, joint.df, joint.p_value)
+    assert joint.df == len(tilt.split(","))
+    assert joint.p_value == pytest.approx(chi2.sf(joint.statistic, joint.df), rel=1e-12)
+    for comp in report.per_component:
+        assert comp.p == pytest.approx(2.0 * norm.sf(abs(comp.z)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Standard-library tail functions: scipy.stats as the oracle
+# ---------------------------------------------------------------------------
+
+def _max_rel_err(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want) / want))
+
+
+def test_two_sided_p_matches_scipy():
+    z = np.linspace(0.0, 38.0, 20001)
+    got = np.array([inference._two_sided_p(v) for v in z])
+    want = 2.0 * norm.sf(z)
+    # relative error where scipy's value is a normal float (z < ~37.5); beyond
+    # it scipy underflows to 0 and erfc gives subnormals
+    normal = want >= np.finfo(float).tiny
+    assert normal.mean() > 0.98
+    assert _max_rel_err(got[normal], want[normal]) <= 1e-12
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= np.finfo(float).tiny)
+    assert [inference._two_sided_p(-v) for v in z[::1000]] == list(got[::1000])
+
+
+@pytest.mark.parametrize("df", [1, 2, 3])
+def test_chi2_sf_matches_scipy(df):
+    x = np.linspace(0.0, 1400.0, 20001)
+    got = np.array([inference._chi2_sf(v, df) for v in x])
+    want = chi2.sf(x, df)
+    assert np.all(want > 0.0)
+    assert _max_rel_err(got, want) <= 1e-12
+
+
+def test_wald_z_matches_scipy():
+    levels = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001),
+                             1.0 - np.logspace(-6.0, -15.0, 500)])
+    got = np.array([inference._wald_z(v) for v in levels])
+    assert _max_rel_err(got, norm.isf((1.0 - levels) / 2.0)) <= 4e-15
+
+
+def test_tail_edge_cases():
+    for df in (1, 2, 3, 4):
+        assert inference._chi2_sf(0.0, df) == 1.0
+        assert inference._chi2_sf(-1e-300, df) == 1.0
+        assert inference._chi2_sf(math.inf, df) == 0.0
+        assert math.isnan(inference._chi2_sf(math.nan, df))
+    assert inference._two_sided_p(0.0) == 1.0
+    assert inference._two_sided_p(math.inf) == 0.0
+    assert inference._two_sided_p(-math.inf) == 0.0
+    assert math.isnan(inference._two_sided_p(math.nan))
+    z = inference._wald_z(np.nextafter(1.0, 0.0))
+    assert math.isfinite(z) and z == pytest.approx(8.29, abs=0.01)
+
+
 def test_refine_identical_copy_is_equidistributed(rng):
     vals = rng.lognormal(0.8, 0.7, 500)
     ref = Sample.reference("r", vals)
@@ -211,6 +280,18 @@ def test_threshold_wald_matches_reference_interval():
     assert f"{est.ci[1]:.4g}" == "0.0006426"
     lo_c, hi_c = est.ci_clamped
     assert lo_c == 0.0 and hi_c == est.ci[1]
+
+
+def test_threshold_interval_finite_at_level_next_to_one(rng):
+    # 0.5 + level / 2 rounds to 1 here, whose upper-tail quantile is inf
+    level = np.nextafter(1.0, 0.0)
+    z = norm.isf((1.0 - level) / 2.0)
+    model = fit(make_pair(rng))
+    ref = model.data.reference
+    for cdf, source in ((drm_cdf(model), model), (empirical_cdf(ref), ref)):
+        for est in threshold_probability(cdf, source, [0.3, 1.0], level=level):
+            assert all(math.isfinite(c) for c in est.ci)
+            assert est.ci[1] - est.prob == pytest.approx(z * est.se, rel=1e-14)
 
 
 def test_threshold_drm_monotone_and_symmetric(rng):
