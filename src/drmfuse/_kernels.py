@@ -1,19 +1,19 @@
 """Shared numerical kernels over the fused data.
 
 The kernels take the flat parameter vector theta = (alpha_1..alpha_m, beta)
-and read the layout from ``FusedData``: one shared design X = (t, log t,
-log^2 t), and the map ``(nbr[j], col[j])`` that sends flat beta coordinate j
-to its neighbor and its column of X. Each neighbor's log tilt is then a
-column of eta = alpha + X B, with B[col[j], nbr[j]] = beta_j.
+and read the layout from ``FusedData``: one shared design X = (1, t, log t,
+log^2 t), and the map ``(nbr[j], col[j])`` that sends flat coordinate j to
+its neighbor and its column of X (column 0 for alpha). Each neighbor's log
+tilt is then a column of eta = X B, with B[col[j], nbr[j]] = theta_j.
 
 Everything here works in log space: tilt exponents can be huge for large
 measurements (exp(beta * log^2 x) overflows quickly), but the softmax-like
 ratios q_k = w_k / sum_u rho_u w_u are bounded above by 1/rho_k, so all
 downstream quantities are formed from exponent differences. The
 log-denominator shifts every row by its largest exponent before
-exponentiating, so no exponential exceeds 1. X and the (n, m) and (n, m + r)
-arrays are column-major, because numpy reduces a C-order array along its
-short axis one row at a time.
+exponentiating, so no exponential exceeds 1; the same pass gives the ratios.
+X and the (n, m) and (n, m + r) arrays are column-major, because numpy
+reduces a C-order array along its short axis one row at a time.
 """
 
 from __future__ import annotations
@@ -24,21 +24,20 @@ from .core import FusedData, NonFinite
 
 
 def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
-    """Log tilt values eta = alpha + X B at the flat theta, shape (n, m)."""
-    m = data.m
-    B = np.zeros((3, m))
-    B[data.col, data.nbr] = theta[m:]
-    eta = (B.T @ data.X.T).T   # column-major (n, m)
-    eta += theta[:m]
-    return eta
+    """Log tilt values eta = X B at the flat theta, shape (n, m)."""
+    B = np.zeros((4, data.m))
+    B[data.col, data.nbr] = theta
+    return (B.T @ data.X.T).T   # column-major (n, m)
 
 
 def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np.ndarray]:
-    """(logD, eta) with logD_i = log sum_{k=0}^m rho_k w_k(t_i), w_0 = 1.
+    """(logD, U): logD_i = log D_i = log sum_{k=0}^m rho_k w_k(t_i), w_0 = 1, and
+    the ratios U[:, k - 1] = rho_k w_k / D in (0, 1).
 
     Each row is shifted by mx_i = max(0, max_k eta_ik), so w_k never
-    materializes raw: logD = mx + log(exp(-mx) + exp(eta - mx) @ rho[1:]),
-    written with log1p/expm1 so that logD near 0 keeps full relative precision.
+    materializes raw: with E = exp(eta - mx), computed in place, and inner =
+    expm1(-mx) + E @ rho[1:], logD = mx + log1p(inner) keeps full relative
+    precision near 0, and U = rho[1:] E / (1 + inner).
     """
     eta = eta_matrix(theta, data)
     if not np.isfinite(eta).all():
@@ -46,22 +45,24 @@ def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np
     if not data.m:  # max over an empty axis raises; D = rho_0 = 1
         return np.zeros(data.n), eta
     mx = np.maximum(eta.max(axis=1), 0.0)
-    tail = np.dot(np.exp(eta - mx[:, None]), data.rho[1:])   # @ skips BLAS when m = 1
-    logD = mx + np.log1p(np.expm1(-mx) + tail)
-    return logD, eta
+    eta -= mx[:, None]
+    E = np.exp(eta, out=eta)
+    inner = np.expm1(-mx) + np.dot(E, data.rho[1:])   # @ skips BLAS when m = 1
+    logD = mx + np.log1p(inner)
+    E *= (1.0 / (1.0 + inner))[:, None]
+    E *= data.rho[1:]
+    return logD, E
 
 
 def tilt_design(U: np.ndarray, data: FusedData) -> np.ndarray:
-    """Psi = (U, U[:, nbr] * X[:, col]), shape (n, m + r).
+    """Psi = U[:, nbr] * X[:, col], shape (n, m + r).
 
-    ``U[:, k] = rho_k w_k / D``; beta column j is neighbor nbr[j]'s ratio
-    times its basis function col[j].
+    ``U[:, k] = rho_k w_k / D``; column j is neighbor nbr[j]'s ratio times
+    its column col[j] of X, so the first m columns are U itself.
     """
-    m = data.m
-    Psi = np.empty((data.n, m + data.r), order="F")
-    Psi[:, :m] = U
+    Psi = np.empty((data.n, data.nbr.size), order="F")
     for j, (k, c) in enumerate(zip(data.nbr, data.col)):
-        np.multiply(U[:, k], data.X[:, c], out=Psi[:, m + j])   # no (n, r) temporaries
+        np.multiply(U[:, k], data.X[:, c], out=Psi[:, j])   # no (n, m + r) temporaries
     return Psi
 
 

@@ -319,13 +319,12 @@ def cmd_fit(args) -> int:
     theta = fitted.theta
     se = np.zeros(theta.size)   # a pinned alpha is reported with se 0
     se[data.free] = np.sqrt(np.maximum(np.diag(fitted.Sigma)[data.free], 0.0) / data.n)
-    # each neighbor's alpha row, then its beta rows in tilt order
-    owner = np.concatenate([np.arange(data.m), data.nbr])
-    terms = ["alpha"] * data.m + [GLOBAL_TILT.basis[c].value for c in data.col]
+    # per neighbor: its alpha row (the constant column), then its betas in tilt order
+    terms = ["alpha"] + [b.value for b in GLOBAL_TILT.basis]
     lines = ["region,term,estimate,se"]
-    for i in np.argsort(owner, kind="stable"):
-        label = data.neighbors[owner[i]][0].label
-        lines.append(f"{label},{terms[i]},{float(theta[i])!r},{float(se[i])!r}")
+    for i in np.argsort(data.nbr, kind="stable"):
+        label = data.neighbors[data.nbr[i]][0].label
+        lines.append(f"{label},{terms[data.col[i]]},{float(theta[i])!r},{float(se[i])!r}")
     lines.append(f"# loglik={float(fitted.loglik)!r} iterations={fitted.iterations} "
                  f"score_norm={fitted.score_norm:.3e}")
     lines.append(f"# tilts: {'; '.join(spec.format() for spec in tilts)}")
@@ -363,8 +362,11 @@ def cmd_threshold(args) -> int:
     thresholds = [_number("--thresholds", t) for t in _split_list(args.thresholds)]
     if not thresholds:
         raise ConfigError("--thresholds needs at least one value")
-    fitted, ing, _ = _fit_from_args(args)
+    _check_alpha(args)
     level = 1.0 - args.alpha
+    if level == 1.0:
+        raise ConfigError(f"--alpha {args.alpha!r} is too small: 1 - alpha rounds to 1")
+    fitted, ing, _ = _fit_from_args(args)
     gtilde = inference.drm_cdf(fitted)
     ghat = inference.empirical_cdf(ing.reference)
     lines = ["method,T,prob,se,ci_low,ci_high,ci_low_clamped,ci_high_clamped"]

@@ -215,15 +215,17 @@ class FusedData:
 
     ``t`` preserves block order (reference first); ``rho[k] = n_k / n_0`` with
     ``rho[0] = 1``. Every tilt is a subset of the ``GLOBAL_TILT`` basis, so
-    the design ``X`` holds that basis once: column ``c`` is
-    ``GLOBAL_TILT.basis[c]`` evaluated at ``t``. The flat parameter vector is
-    ``(alpha_1..alpha_m, beta)``; flat beta coordinate ``j`` belongs to
-    neighbor ``nbr[j]`` and multiplies column ``col[j]`` of ``X``, in the
-    order of each neighbor's tilt. ``obs = (n_1..n_m, suff)`` is the observed
-    statistic, with ``suff[j]`` the sum of column ``col[j]`` over neighbor
-    ``nbr[j]``'s sample, and ``free`` lists the flat indices not pinned at 0
-    (an empty tilt pins its alpha). ``n0`` and ``n`` are the reference and
-    fused sample sizes. All arrays are read-only.
+    the design ``X = (1, x, log x, log^2 x)`` holds that basis once, after a
+    constant column: column ``1 + c`` is ``GLOBAL_TILT.basis[c]`` evaluated
+    at ``t``. The flat parameter vector is ``(alpha_1..alpha_m, beta)``, and
+    flat coordinate ``j`` belongs to neighbor ``nbr[j]`` and multiplies
+    column ``col[j]`` of ``X``: ``alpha_k`` is the coefficient of neighbor
+    k's constant column, and the betas follow in the order of each
+    neighbor's tilt. ``r = nbr.size - m`` counts the betas. ``obs[j]`` is the
+    sum of column ``col[j]`` over neighbor ``nbr[j]``'s sample, so the alpha
+    entries are the sample sizes. ``free`` lists the flat indices not pinned
+    at 0 (an empty tilt pins its alpha). ``n0`` and ``n`` are the reference
+    and fused sample sizes. All arrays are read-only.
     """
 
     reference: Sample
@@ -246,7 +248,7 @@ class FusedData:
 
     @property
     def r(self) -> int:
-        return self.nbr.size
+        return self.nbr.size - self.m
 
 
 def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
@@ -271,14 +273,16 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
     n_k = np.array([s.n for s in samples], dtype=float)
     t = _freeze(np.concatenate([s.values for s in samples]))
     rho = _freeze(n_k / n_k[0])
-    X = _freeze(basis_matrix(t, GLOBAL_TILT))
-    nbr = [k for k, spec in enumerate(tilts) for _ in spec.basis]
-    col = [GLOBAL_TILT.basis.index(b) for spec in tilts for b in spec.basis]
+    X = np.empty((t.size, 4), order="F")
+    X[:, 0] = 1.0
+    X[:, 1:] = basis_matrix(t, GLOBAL_TILT)
+    X = _freeze(X)
+    nbr = list(range(m)) + [k for k, spec in enumerate(tilts) for _ in spec.basis]
+    col = [0] * m + [1 + GLOBAL_TILT.basis.index(b) for spec in tilts for b in spec.basis]
     # column sums of X over each neighbor's sample, in that sample's row block
     ends = np.cumsum([s.n for s in samples])
-    sums = np.array([X[a:b].sum(axis=0) for a, b in zip(ends[:-1], ends[1:])]).reshape(m, 3)
-    obs = np.concatenate([n_k[1:], sums[nbr, col]])
-    free = [k for k, spec in enumerate(tilts) if spec.r] + list(range(m, m + len(nbr)))
+    sums = np.array([X[a:b].sum(axis=0) for a, b in zip(ends[:-1], ends[1:])]).reshape(m, 4)
+    free = [k for k, spec in enumerate(tilts) if spec.r] + list(range(m, len(nbr)))
     return FusedData(
         reference=ref,
         neighbors=tuple(zip(samples[1:], tilts)),
@@ -288,7 +292,7 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
         X=X,
         nbr=_freeze(nbr, int),
         col=_freeze(col, int),
-        obs=_freeze(obs),
+        obs=_freeze(sums[nbr, col]),
         free=_freeze(free, int),
         n0=int(n_k[0]),
         n=int(n_k.sum()),

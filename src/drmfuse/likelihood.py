@@ -6,10 +6,11 @@ log-likelihood reduces to a concave function of theta = (alpha, beta):
     l(theta) = -sum_i log(n_0 sum_k rho_k w_k(t_i))
                + sum_k (n_k alpha_k + beta_k' sum_j h_k(X_kj))
 
-with w_0 = 1 and w_k = exp(alpha_k + beta_k' h_k(.)); the linear term is
-``FusedData.obs`` times the flat theta. At the maximizer the
-point masses are p_i = 1 / (n_0 sum_k rho_k w_k(t_i)) and the moment
-constraints sum_i p_i = 1, sum_i p_i (w_k(t_i) - 1) = 0 hold automatically.
+with w_0 = 1 and log w_k(x) = (1, x, log x, log^2 x) c_k, where c_k holds
+neighbor k's alpha_k (the constant's coefficient) and its betas, 0 off its
+tilt; the linear term is ``FusedData.obs @ theta``. At the maximizer the point
+masses are p_i = 1 / (n_0 sum_k rho_k w_k(t_i)) and the moment constraints
+sum_i p_i = 1, sum_i p_i (w_k(t_i) - 1) = 0 hold automatically.
 """
 
 from __future__ import annotations
@@ -53,49 +54,39 @@ def profile_loglik(theta: np.ndarray, data: FusedData) -> float:
 
 
 def _loglik_parts(theta: np.ndarray, data: FusedData):
-    """(l, logD, eta) at the flat theta, from one pass over the tilt exponents."""
-    logD, eta = log_denominators(theta, data)
+    """(l, logD, U) at the flat theta, from one pass over the tilt exponents."""
+    logD, U = log_denominators(theta, data)
     value = float(-np.sum(logD) - data.n * np.log(data.n0) + data.obs @ theta)
     if not np.isfinite(value):
         raise NonFinite("profile log-likelihood")
-    return value, logD, eta
+    return value, logD, U
 
 
 def score(theta: np.ndarray, data: FusedData) -> np.ndarray:
     """Gradient of l at the flat theta, length m + r, in the same layout."""
-    logD, eta = log_denominators(_check_theta(theta, data), data)
-    return _score_hessian(eta, logD, data)[0]
+    return _score_hessian(log_denominators(_check_theta(theta, data), data)[1], data)[0]
 
 
 def hessian(theta: np.ndarray, data: FusedData) -> np.ndarray:
     """Exact second derivative of l at the flat theta, (m+r)x(m+r), symmetric and <= 0."""
-    logD, eta = log_denominators(_check_theta(theta, data), data)
-    return _score_hessian(eta, logD, data)[1]
+    return _score_hessian(log_denominators(_check_theta(theta, data), data)[1], data)[1]
 
 
-def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData):
-    """(s, H) from the tilt exponents and log-denominators of one theta."""
-    m, nbr = data.m, data.nbr
-    U = data.rho[1:] * np.exp(eta - logD[:, None])   # u_{ik} = rho_k w_k / D, in (0, 1)
-    # Psi_i = (u_i, u_{i,nbr} x_{i,col}); the score is the observed statistic
-    # minus its column sums
+def _score_hessian(U: np.ndarray, data: FusedData):
+    """(s, H) from the ratios U = rho_k w_k / D of one theta."""
+    # Psi_ij = u_{i,nbr[j]} x_{i,col[j]}; row 0 of G = X' Psi holds the column
+    # sums of Psi, so the score is the observed statistic minus that row
     Psi = tilt_design(U, data)
-    colsum = Psi.sum(axis=0)
-    s = data.obs - colsum
+    G = data.X.T @ Psi
+    s = data.obs - G[0]
     if not np.isfinite(s).all():
         raise NonFinite("score")
 
     # d2 log D / d eta_k d eta_k' is the softmax covariance u_k (delta - u_k'),
-    # so H = Psi' Psi - sum_k G_k' diag(u_k) G_k, with G_k = (1, h_k) and h_k
-    # the columns of X that neighbor k uses. The correction's entries with an
-    # alpha are column sums of Psi; a beta pair (j, j') of one neighbor takes
-    # X[:, col[j]]' Psi[:, m + j'].
+    # so H = Psi' Psi minus, for each pair (j, j') of one neighbor,
+    # X[:, col[j]]' Psi[:, j'] = G[col[j], j']
     H = Psi.T @ Psi
-    a, b = np.arange(m), np.arange(m, m + data.r)
-    H[a, a] -= colsum[:m]
-    H[nbr, b] -= colsum[m:]
-    H[b, nbr] -= colsum[m:]
-    H[m:, m:] -= np.where(nbr[:, None] == nbr, (data.X.T @ Psi[:, m:])[data.col], 0.0)
+    H -= np.where(data.nbr[:, None] == data.nbr, G[data.col], 0.0)
     H = 0.5 * (H + H.T)   # exact symmetry despite BLAS rounding
     if not np.isfinite(H).all():
         raise NonFinite("hessian")
@@ -104,11 +95,12 @@ def _score_hessian(eta: np.ndarray, logD: np.ndarray, data: FusedData):
 
 def _check_degenerate(data: FusedData):
     # Non-degeneracy: every basis function in use must vary over the fused data.
-    flat = np.ptp(data.X, axis=0)[data.col] < 1e-12
+    m = data.m
+    flat = np.ptp(data.X, axis=0)[data.col[m:]] < 1e-12   # the betas' columns
     if flat.any():
-        j = int(np.argmax(flat))
+        j = m + int(np.argmax(flat))
         raise SingularHessian(
-            f"tilt component {GLOBAL_TILT.basis[data.col[j]].value!r} of neighbor "
+            f"tilt component {GLOBAL_TILT.basis[data.col[j] - 1].value!r} of neighbor "
             f"{data.neighbors[data.nbr[j]][0].label!r} is constant over the fused data"
         )
 
@@ -138,8 +130,8 @@ def fit(data: FusedData) -> FittedModel:
     n, free = data.n, data.free
     sub = np.ix_(free, free)
     theta = np.zeros(data.m + data.r)
-    l, logD, eta = _loglik_parts(theta, data)
-    s_full, H_full = _score_hessian(eta, logD, data)
+    l, logD, U = _loglik_parts(theta, data)
+    s_full, H_full = _score_hessian(U, data)
     s, H = s_full[free], H_full[sub]
     sn = float(np.max(np.abs(s))) if s.size else 0.0
     iterations = polished = 0
@@ -161,10 +153,10 @@ def fit(data: FusedData) -> FittedModel:
             cand = theta.copy()
             cand[free] += 0.5 ** k * d
             try:
-                l2, logD2, eta2 = _loglik_parts(cand, data)
+                l2, logD2, U2 = _loglik_parts(cand, data)
                 if l2 < l - 4 * _EPS * max(1.0, abs(l)):
                     continue
-                s2_full, H2_full = _score_hessian(eta2, logD2, data)
+                s2_full, H2_full = _score_hessian(U2, data)
             except NonFinite:
                 continue
             sn2 = float(np.max(np.abs(s2_full[free])))

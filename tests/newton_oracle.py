@@ -23,8 +23,8 @@ def fit_core(data):
     sub = np.ix_(free, free)
     theta = np.zeros(data.m + data.r)
 
-    l, logD, eta = likelihood._loglik_parts(theta, data)
-    s_full, H_full = likelihood._score_hessian(eta, logD, data)
+    l, logD, U = likelihood._loglik_parts(theta, data)
+    s_full, H_full = likelihood._score_hessian(U, data)
     s = s_full[free]
     H = H_full[sub]
     iterations = 0
@@ -49,14 +49,14 @@ def fit_core(data):
             cand = theta.copy()
             cand[free] += lam * d
             try:
-                l2, logD2, eta2 = likelihood._loglik_parts(cand, data)
+                l2, logD2, U2 = likelihood._loglik_parts(cand, data)
             except NonFinite:
                 lam *= 0.5
                 continue
             if l2 >= l - 4 * _EPS * max(1.0, abs(l)):
                 # an ascent is accepted; a float-stationary l only if the step
                 # still shrinks the score
-                s2_full, H2_full = likelihood._score_hessian(eta2, logD2, data)
+                s2_full, H2_full = likelihood._score_hessian(U2, data)
                 if l2 > l or np.max(np.abs(s2_full[free])) < sn:
                     theta, l, logD = cand, l2, logD2
                     s_full, H_full = s2_full, H2_full
@@ -81,8 +81,8 @@ def fit_core(data):
         cand = theta.copy()
         cand[free] += d
         try:
-            l2, logD2, eta2 = likelihood._loglik_parts(cand, data)
-            s2_full, H2_full = likelihood._score_hessian(eta2, logD2, data)
+            l2, logD2, U2 = likelihood._loglik_parts(cand, data)
+            s2_full, H2_full = likelihood._score_hessian(U2, data)
         except NonFinite:
             break
         sn2 = float(np.max(np.abs(s2_full[free])))

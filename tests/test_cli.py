@@ -252,6 +252,18 @@ def test_cmd_threshold_tiny_alpha_gives_finite_intervals(radon_csv, capsys):
         assert (hi - lo) / (2.0 * se) == pytest.approx(8.2924, abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+def test_cmd_threshold_alpha_below_level_resolution_is_config_error(radon_csv, capsys, alpha):
+    # 1 - alpha rounds to 1 here, so no confidence level below 1 is left
+    rc = main(["threshold", *_flags(radon_csv, "--tilt", "global", "--alpha", alpha,
+                                    "--thresholds", "5,10")])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("drmfuse: config error: --alpha ")
+    assert "confidence level" not in captured.err
+
+
 def test_cmd_gof_two_columns(radon_csv, capsys):
     rc = main(["gof", *_flags(radon_csv, "--tilt", "global")])
     assert rc == 0

@@ -107,12 +107,17 @@ def test_log_denominators_match_logsumexp(rng, monkeypatch, tilts):
     eta = rng.uniform(-700.0, 700.0, (data.n, data.m))
     eta[:100] = rng.uniform(-700.0, -1.0, (100, data.m))
     eta[100:200] = rng.uniform(-1e-3, 1e-3, (100, data.m))
+    full = np.column_stack([np.zeros(data.n), eta])   # a copy: the kernel overwrites eta
     monkeypatch.setattr(_kernels, "eta_matrix", lambda theta, data: eta)
-    logD, got = _kernels.log_denominators(np.zeros(data.m + data.r), data)
-    assert got is eta
-    full = np.column_stack([np.zeros(data.n), eta])
+    logD, U = _kernels.log_denominators(np.zeros(data.m + data.r), data)
     ref = logsumexp(full, axis=1, b=np.broadcast_to(data.rho, full.shape))
     assert np.all(np.abs(logD - ref) <= 1e-13 * np.abs(ref))
+    # the ratios rho_k w_k / D, from the same rows; relative where the oracle
+    # is a normal float, absolute by the smallest one below it
+    U_ref = data.rho[1:] * np.exp(full[:, 1:] - ref[:, None])
+    tiny = np.finfo(float).tiny
+    assert U.shape == (data.n, data.m)
+    assert np.all(np.abs(U - U_ref) <= 5e-13 * U_ref + tiny)
 
 
 def test_log_denominators_reject_non_finite_exponents(rng):
@@ -124,10 +129,20 @@ def test_log_denominators_reject_non_finite_exponents(rng):
 
 def test_tilt_arrays_are_column_major(rng):
     data = make_fused(rng)
-    assert data.m >= 2
+    m = data.m
+    assert m >= 2
     assert data.X.flags.f_contiguous and not data.X.flags.writeable
     for a in (data.nbr, data.col, data.obs, data.free):
         assert not a.flags.writeable
+    # alpha_k is the coefficient of neighbor k's constant column
+    assert data.X.shape == (data.n, 4) and np.all(data.X[:, 0] == 1.0)
+    assert np.array_equal(data.nbr[:m], np.arange(m)) and np.all(data.col[:m] == 0)
+    assert np.array_equal(data.obs[:m], data.n_k[1:])
+    assert data.r == sum(spec.r for _, spec in data.neighbors) == data.nbr.size - m
+    empty = make_fused(rng, tilts=("", "x"))
+    assert (empty.r, empty.nbr.size) == (1, 3)
+    assert np.array_equal(empty.obs[:2], empty.n_k[1:])
+    assert validate([data.reference], []).r == 0
     eta = _kernels.eta_matrix(rng.normal(0, 0.1, data.m + data.r), data)
     assert eta.flags.f_contiguous
     assert _kernels.tilt_design(np.exp(eta), data).flags.f_contiguous
@@ -295,12 +310,12 @@ def test_fit_monotone_ascent(rng, monkeypatch):
 
     def recording_loglik(theta, data):
         out = loglik_parts(theta, data)
-        evaluated.append((out[2], theta))
+        evaluated.append((out[2], theta))   # the ratios U of this candidate
         return out
 
-    def recording_derivatives(eta, logD, data):
-        visited.append(next(th for e, th in evaluated if e is eta))
-        return score_hessian(eta, logD, data)
+    def recording_derivatives(U, data):
+        visited.append(next(th for u, th in evaluated if u is U))
+        return score_hessian(U, data)
 
     monkeypatch.setattr(likelihood, "_loglik_parts", recording_loglik)
     monkeypatch.setattr(likelihood, "_score_hessian", recording_derivatives)
