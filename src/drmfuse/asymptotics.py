@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import eta_matrix, tilt_design
+from ._kernels import tilt_design
 from .core import FittedModel, NonFinite, SingularMatrix
 
 _COND_LIMIT = 1e12
@@ -54,25 +54,22 @@ def Sigma_matrix(S: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return 0.5 * (Sigma + Sigma.T)
 
 
-def sigma_t(fit: FittedModel, T) -> np.ndarray:
-    """Plug-in sigma(t) at each threshold of the 1-d array ``T``.
+def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
+    """(G(t), plug-in sigma(t)) at each threshold of the 1-d array ``T``.
 
-    Piecewise constant between adjacent fused points. Negative plug-in values
-    are clamped to zero. The partial sums behind G, A and B come from one
-    cumulative pass over the fused points sorted by t, so each threshold
-    costs a binary search and one quadratic form in S^{-1}. The ratios
-    w_k / D reuse the fit's log-denominators.
-    """
+    Both are piecewise constant between adjacent fused points; negative sigma
+    values are clamped to zero. G and the partial sums behind A and B come
+    from one cumulative pass over the fused points sorted by t, with the
+    fit's ratios ``U``, so each threshold costs a binary search and one
+    quadratic form in S^{-1}."""
     data = fit.data
     m = data.m
-    U = data.rho[1:] * np.exp(eta_matrix(fit.theta, data) - fit.logD[:, None])
     # Row 1 + i holds p_i (1, Psi_i): the G, rho_k A_k and rho_k B_k integrands
     # at t_i. Sorted by t and summed in place, row j is (G, a) at the j-th
     # smallest fused point; row 0 is t below all data.
     cum = np.zeros((data.n + 1, 1 + m + data.r))
     cum[1:, 0] = fit.weights
-    cum[1:, 1:] = tilt_design(U, data)
-    cum[1:, 1:] *= fit.weights[:, None]
+    np.multiply(tilt_design(fit.U, data), fit.weights[:, None], out=cum[1:, 1:])
     order = np.argsort(data.t, kind="stable")
     np.cumsum(cum[1:][order], axis=0, out=cum[1:])
     at = cum[np.searchsorted(data.t[order], np.asarray(T, dtype=float), side="right")]
@@ -82,4 +79,4 @@ def sigma_t(fit: FittedModel, T) -> np.ndarray:
              + ((a @ Sinv) * a).sum(axis=-1))
     if not np.isfinite(value).all():
         raise NonFinite("sigma(t)")
-    return np.where(value < 0.0, 0.0, value)
+    return G, np.where(value < 0.0, 0.0, value)

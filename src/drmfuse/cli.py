@@ -345,15 +345,17 @@ def cmd_refine(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["period", *neighbor_names])
 
-    def row(label: str, period_filter: set[str]):
+    def row(label: str, period_filter: set[str]) -> IngestResult:
         ing = _partition(region_col, period_col, value, wanted, period_filter)
         tilts = inference.refine_tilts(ing.reference, list(ing.neighbors), args.alpha)
         writer.writerow([label, *(spec.format() for spec in tilts)])
+        return ing
 
     for period in periods:
-        row(period, {period})
+        ing = row(period, {period})
     if len(periods) > 1:
-        row("pooled", set(periods))
+        ing = row("pooled", set(periods))
+    _report_rejections(ing)   # the last row spans every selected period
     _emit(buf.getvalue().rstrip("\r\n").replace("\r\n", "\n"), args.out)
     return 0
 
@@ -367,11 +369,9 @@ def cmd_threshold(args) -> int:
     if level == 1.0:
         raise ConfigError(f"--alpha {args.alpha!r} is too small: 1 - alpha rounds to 1")
     fitted, ing, _ = _fit_from_args(args)
-    gtilde = inference.drm_cdf(fitted)
-    ghat = inference.empirical_cdf(ing.reference)
     lines = ["method,T,prob,se,ci_low,ci_high,ci_low_clamped,ci_high_clamped"]
-    for method, cdf, source in (("drm", gtilde, fitted), ("empirical", ghat, ing.reference)):
-        for est in inference.threshold_probability(cdf, source, thresholds, level):
+    for method, source in (("drm", fitted), ("empirical", ing.reference)):
+        for est in inference.threshold_probability(source, thresholds, level):
             lo_c, hi_c = est.ci_clamped
             lines.append(
                 f"{method},{est.T:g},{est.prob!r},{est.se!r},"

@@ -308,8 +308,9 @@ class FittedModel:
     """Result of maximizing the profile empirical log-likelihood.
 
     ``theta`` is the read-only flat vector ``(alpha_1..alpha_m, beta)`` in
-    ``data``'s layout (see ``FusedData``); an empty tilt's alpha is 0.
-    """
+    ``data``'s layout (see ``FusedData``); an empty tilt's alpha is 0. ``U`` is
+    the read-only (n, m) array of ratios rho_k w_k(t_i) / D_i at theta, from
+    the final iterate's exponent pass."""
 
     theta: np.ndarray
     weights: np.ndarray          # p~_i over the fused points, sums to 1
@@ -318,7 +319,7 @@ class FittedModel:
     iterations: int
     S: np.ndarray                # (m+r)x(m+r) plug-in information, -H/n at theta
     Sigma: np.ndarray            # (m+r)x(m+r) asymptotic covariance of sqrt(n)(theta-theta0)
-    logD: np.ndarray             # log sum_k rho_k w_k(t_i) at theta, from the final iterate
+    U: np.ndarray                # (n, m) ratios rho_k w_k(t_i) / D_i at theta
     data: FusedData
 
 

@@ -183,16 +183,16 @@ def refine_tilts(
 
 
 def threshold_probability(
-    cdf: StepCDF,
     source: FittedModel | Sample,
     T,
     level: float = 0.95,
 ) -> tuple[ThresholdEstimate, ...]:
     """Exceedance probabilities 1 - G(t) with Wald intervals, one per t in T.
 
-    A FittedModel source uses the fused-data variance sigma(t)/n; a Sample
-    source uses the binomial Wald variance p(1-p)/n_0. Intervals are reported
-    raw (they may cross 0 or 1); see ci_clamped for the truncated version.
+    A FittedModel source takes G(t) and the variance sigma(t)/n from
+    ``asymptotics.sigma_t``; a Sample source takes its empirical CDF and the
+    binomial Wald variance p(1-p)/n_0. Intervals are reported raw (they may
+    cross 0 or 1); see ci_clamped for the truncated version.
     """
     if not 0.0 < level < 1.0:
         raise ArityMismatch(f"confidence level must be in (0, 1), got {level!r}")
@@ -200,14 +200,16 @@ def threshold_probability(
     if T.ndim != 1:
         raise ArityMismatch(f"thresholds must be a 1-d sequence, got shape {T.shape}")
     z = _wald_z(level)
-    # cumsum rounding can leave cdf(T) a few ulp outside [0, 1]
-    prob = np.clip(1.0 - cdf(T), 0.0, 1.0)
+    # cumsum rounding can leave G(T) a few ulp outside [0, 1], hence the clips
     if isinstance(source, FittedModel):
         n = source.data.n
-        se = np.sqrt(asymptotics.sigma_t(source, T) / n)
+        G, sigma = asymptotics.sigma_t(source, T)
+        prob = np.clip(1.0 - G, 0.0, 1.0)
+        se = np.sqrt(sigma / n)
         method = "drm"
     elif isinstance(source, Sample):
         n = source.n
+        prob = np.clip(1.0 - empirical_cdf(source)(T), 0.0, 1.0)
         se = np.sqrt(np.maximum(prob * (1.0 - prob), 0.0) / n)
         method = "empirical"
     else:

@@ -168,12 +168,12 @@ def fit(data: FusedData) -> FittedModel:
             if polishing:
                 break
             raise NoConvergence(iterations, sn)
-        theta, l, logD, s_full, H_full = cand, l2, logD2, s2_full, H2_full
+        theta, l, logD, U, s_full, H_full = cand, l2, logD2, U2, s2_full, H2_full
         s, H, sn = s_full[free], H_full[sub], sn2
         iterations += 1
         polished += polishing
 
-    theta.flags.writeable = False
+    theta.flags.writeable = U.flags.writeable = False
     S = -H_full / n
     return FittedModel(
         theta=theta,
@@ -183,6 +183,6 @@ def fit(data: FusedData) -> FittedModel:
         iterations=iterations,
         S=S,
         Sigma=asymptotics.Sigma_matrix(S, data.rho),
-        logD=logD,
+        U=U,
         data=data,
     )

@@ -5,8 +5,8 @@ iteration. This module keeps the earlier route: a damped Newton ascent with
 step halving, then a separate loop of at most five full Newton steps. Both
 routes share the package's exponent pass (``_loglik_parts``) and derivatives
 (``_score_hessian``), so tests compare them for equal iteration counts and
-bit-identical theta, log-likelihood, score norm, Hessian and
-log-denominators.
+bit-identical theta, log-likelihood, score norm, Hessian, weights and
+ratios U.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ _EPS = np.finfo(float).eps
 
 
 def fit_core(data):
-    """(theta, loglik, iterations, score_norm, H, logD) at the returned theta."""
+    """(theta, loglik, iterations, score_norm, H, logD, U) at the returned theta."""
     n, free = data.n, data.free
     sub = np.ix_(free, free)
     theta = np.zeros(data.m + data.r)
@@ -58,7 +58,7 @@ def fit_core(data):
                 # still shrinks the score
                 s2_full, H2_full = likelihood._score_hessian(U2, data)
                 if l2 > l or np.max(np.abs(s2_full[free])) < sn:
-                    theta, l, logD = cand, l2, logD2
+                    theta, l, logD, U = cand, l2, logD2, U2
                     s_full, H_full = s2_full, H2_full
                     accepted = True
                     break
@@ -88,7 +88,7 @@ def fit_core(data):
         sn2 = float(np.max(np.abs(s2_full[free])))
         if l2 < l - 4 * _EPS * max(1.0, abs(l)) or sn2 >= sn:
             break
-        theta, l, logD = cand, l2, logD2
+        theta, l, logD, U = cand, l2, logD2, U2
         s_full, H_full = s2_full, H2_full
         s = s_full[free]
         H = H_full[sub]
@@ -96,4 +96,4 @@ def fit_core(data):
         iterations += 1
 
     score_norm = float(np.max(np.abs(s_full))) if s_full.size else 0.0
-    return theta, l, iterations, score_norm, H_full, logD
+    return theta, l, iterations, score_norm, H_full, logD, U

@@ -23,7 +23,6 @@ from drmfuse import (
     TiltSpec,
     chi_square_beta_test,
     drm_cdf,
-    empirical_cdf,
     exp2_cdf,
     fit,
     generate,
@@ -131,11 +130,9 @@ def test_criterion_2_wald_reference_rows():
     values = np.concatenate([np.full(k, lv) for k, lv in zip(blocks_n, levels)])
     assert values.size == n0
     sample = Sample.reference("beaver", values)
-    cdf = empirical_cdf(sample)
-
     ok = True
     mismatches = []
-    estimates = threshold_probability(cdf, sample, thresholds, level=0.95)
+    estimates = threshold_probability(sample, thresholds, level=0.95)
     for (T, prob_p, lo_p, hi_p), est in zip(WALD_REFERENCE_ROWS, estimates):
         # the prob reconstructs the reference exceedance count exactly
         if round(est.prob * n0) != round(prob_p * n0):
@@ -164,10 +161,8 @@ def test_criterion_3_coverage_and_width():
     for i in range(reps):
         ref, g, ln = generate(np.random.SeedSequence(31415, spawn_key=(i,)), (n, n, n))
         model = fit(validate([ref, g, ln], REFINED))
-        gtilde = drm_cdf(model)
-        ghat = empirical_cdf(ref)
-        drm = threshold_probability(gtilde, model, tvals, level=0.95)
-        emp = threshold_probability(ghat, ref, tvals, level=0.95)
+        drm = threshold_probability(model, tvals, level=0.95)
+        emp = threshold_probability(ref, tvals, level=0.95)
         for t, est, est_emp in zip(tvals, drm, emp):
             cover[t] += est.ci[0] <= truth[t] <= est.ci[1]
             width_drm[t] += est.ci[1] - est.ci[0]
@@ -220,7 +215,9 @@ def test_criterion_4_optimizer_matches_derivative_free_search():
         gap = float(np.max(np.abs(res.x - model.theta[free_idx]))) if free_idx.size else 0.0
         worst_gap = max(worst_gap, gap)
         worst_score = max(worst_score, model.score_norm / data.n)
-        q = np.exp(eta_matrix(model.theta, data) - model.logD[:, None])
+        # log D_i = -log(n0 p_i), from the weights alone
+        logD = -np.log(data.n0 * model.weights)
+        q = np.exp(eta_matrix(model.theta, data) - logD[:, None])
         resid = abs(model.weights.sum() - 1.0)
         for k in range(data.m):
             resid = max(resid, abs(q[:, k].sum() / data.n0 - 1.0))
@@ -288,8 +285,8 @@ def normality_mc():
         model = fit(data)
         thetas[i] = model.theta
         Sigma_sum += model.Sigma
-        gvals[i] = drm_cdf(model)(TVALS)
-        sigma_sum += sigma_t(model, TVALS)
+        gvals[i] = drm_cdf(model)(TVALS)   # G from the step CDF, not from sigma_t
+        sigma_sum += sigma_t(model, TVALS)[1]
     n = 2 * n0
     return {
         "emp_cov": np.cov((np.sqrt(n) * (thetas - THETA0)).T),

@@ -6,13 +6,15 @@ from drmfuse import (
     Sigma_matrix,
     SingularMatrix,
     TiltSpec,
+    drm_cdf,
     fit,
     hessian,
     sigma_t,
+    threshold_probability,
     validate,
 )
 
-from drmfuse import _kernels
+from drmfuse import _kernels, asymptotics, inference, likelihood
 
 import blocks_oracle as oracle
 from conftest import make_fused, make_pair
@@ -150,7 +152,7 @@ def test_sigma_matrix_rejects_ill_conditioned(rng):
 
 def test_sigma_t_boundaries(rng):
     model = fit(make_fused(rng, sizes=(200, 150, 120)))
-    below, above = sigma_t(model, [model.data.t.min() / 2.0, model.data.t.max() * 2.0])
+    below, above = sigma_t(model, [model.data.t.min() / 2.0, model.data.t.max() * 2.0])[1]
     assert below == 0.0
     assert np.isfinite(above) and above >= 0.0
 
@@ -158,25 +160,60 @@ def test_sigma_t_boundaries(rng):
 def test_sigma_t_piecewise_constant(rng):
     model = fit(make_fused(rng, sizes=(80, 70, 60)))
     pts = np.sort(np.unique(model.data.t))[:12]
-    at_left = sigma_t(model, pts[:-1])
-    at_mid = sigma_t(model, 0.5 * (pts[:-1] + pts[1:]))
+    at_left = sigma_t(model, pts[:-1])[1]
+    at_mid = sigma_t(model, 0.5 * (pts[:-1] + pts[1:]))[1]
     assert np.allclose(at_mid, at_left, rtol=0.0, atol=1e-14)
 
 
-def test_sigma_t_reuses_the_fits_log_denominators(rng, monkeypatch):
-    # FittedModel.logD is the final iterate's pass, bit for bit, and sigma(t)
-    # makes no second pass over the tilt exponents
+def test_threshold_estimates_reuse_the_fits_ratios(rng, monkeypatch):
+    # FittedModel.U is the final iterate's pass, bit for bit, and the
+    # threshold estimates make no second pass over the tilt exponents
     model = fit(make_fused(rng))
-    assert np.array_equal(model.logD,
-                          _kernels.log_denominators(model.theta, model.data)[0])
+    assert model.U.tobytes() == _kernels.log_denominators(model.theta, model.data)[1].tobytes()
+    assert not model.U.flags.writeable
     T = np.quantile(model.data.t, [0.1, 0.5, 0.9])
-    expected = sigma_t(model, T)
+    expected = threshold_probability(model, T)
 
-    def no_pass(theta, data):
-        raise AssertionError("sigma_t repeated the exponent pass")
+    def no_pass(*args):
+        raise AssertionError("the threshold estimates repeated the exponent pass")
 
-    monkeypatch.setattr(_kernels, "log_denominators", no_pass)
-    assert np.array_equal(sigma_t(model, T), expected)
+    for module in (_kernels, asymptotics, inference, likelihood):   # and names bound by import
+        for name in ("eta_matrix", "log_denominators"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_pass)
+    assert threshold_probability(model, T) == expected
+
+
+@pytest.mark.parametrize("case", ["untied", "tied-0.1", "shared-points"])
+def test_sigma_t_G_matches_the_step_cdf(rng, case):
+    # sigma_t's G against the step CDF built from the weights, at every
+    # distinct fused point, between them, below the minimum and above the maximum
+    data = make_fused(rng, sizes=(300, 250, 200))
+    if case == "tied-0.1":   # the + 0.1 keeps every value positive
+        data = validate(
+            [Sample.reference(data.reference.label, np.round(data.reference.values, 1) + 0.1)]
+            + [Sample.neighbor(s.label, np.round(s.values, 1) + 0.1) for s, _ in data.neighbors],
+            [spec for _, spec in data.neighbors],
+        )
+    elif case == "shared-points":
+        # every neighbor shares points with the reference
+        shared = data.reference.values[:60]
+        data = validate(
+            [data.reference]
+            + [Sample.neighbor(s.label, np.concatenate([s.values, shared]))
+               for s, _ in data.neighbors],
+            [spec for _, spec in data.neighbors],
+        )
+    model = fit(data)
+    pts = np.unique(data.t)
+    if case != "untied":
+        assert pts.size < data.n
+    T = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]),
+                        [pts[0] / 2.0, pts[0] - 1e-12, pts[-1] * 2.0, np.inf]])
+    G, _ = sigma_t(model, T)
+    want = drm_cdf(model)(T)
+    assert np.max(np.abs(G - want)) <= 1e-13
+    assert G[-4] == G[-3] == 0.0
 
 
 def test_sigma_t_no_neighbors_is_binomial(rng):
@@ -184,7 +221,7 @@ def test_sigma_t_no_neighbors_is_binomial(rng):
     model = fit(data)
     t = float(np.median(data.t))
     G = float((data.t <= t).mean())
-    assert sigma_t(model, [t])[0] == pytest.approx(G * (1 - G), rel=1e-12)
+    assert sigma_t(model, [t])[1][0] == pytest.approx(G * (1 - G), rel=1e-12)
 
 
 @pytest.mark.parametrize("tilts", [("x,logx,log2x", "x,log2x"), ("logx", "-")])
@@ -201,6 +238,6 @@ def test_sigma_t_matches_oracle_at_every_fused_point(rng, tilts):
     model = fit(tied)
     pts = np.unique(tied.t)
     assert pts.size < tied.n
-    got = sigma_t(model, pts)
+    got = sigma_t(model, pts)[1]
     want = np.array([oracle.sigma_t(model, t) for t in pts])
     assert np.max(np.abs(got - want)) <= 1e-10 * want.max()

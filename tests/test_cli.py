@@ -224,6 +224,25 @@ def test_cmd_refine_reads_the_file_once(radon_csv, capsys, monkeypatch):
     assert main(["refine", *_flags(radon_csv, "--periods", "12-34")]) == 2
 
 
+def test_cmd_refine_reports_dropped_rows_once(radon_csv, tmp_path, capsys):
+    # one line per command, counted over the selected periods
+    assert main(["refine", *_flags(radon_csv)]) == 0
+    assert capsys.readouterr().err == "# dropped non-positive rows (Beaver: 2)\n"
+    assert main(["refine", *_flags(radon_csv, "--periods", "94-98")]) == 0
+    assert capsys.readouterr().err == "# dropped non-positive rows (Beaver: 1)\n"
+
+    with open(radon_csv, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    clean = tmp_path / "clean.csv"
+    write_csv(clean, [row for row in rows if float(row[2]) > 0])
+    assert main(["refine", *_flags(str(clean))]) == 0
+    assert capsys.readouterr().err == ""
+    write_csv(clean, rows + [["Butler", "89-93", "-1"], ["Allegheny", "89-93", "0"]])
+    assert main(["refine", *_flags(str(clean))]) == 0
+    assert capsys.readouterr().err == (
+        "# dropped non-positive rows (Allegheny: 1, Beaver: 2, Butler: 1)\n")
+
+
 def test_cmd_threshold_block_shape(radon_csv, capsys):
     rc = main(["threshold", *_flags(radon_csv, "--tilt", "global",
                                     "--thresholds", "5,10,25,50,100,150,200")])

@@ -262,8 +262,7 @@ def test_refine_alpha_level_validation(rng):
 
 def test_threshold_below_all_data_degenerate_wald(rng):
     sample = Sample.reference("r", rng.uniform(5.0, 9.0, 60))
-    cdf = empirical_cdf(sample)
-    (est,) = threshold_probability(cdf, sample, [1.0])
+    (est,) = threshold_probability(sample, [1.0])
     assert est.prob == 1.0
     assert est.se == 0.0
     assert est.ci == (1.0, 1.0)
@@ -275,7 +274,7 @@ def test_threshold_wald_matches_reference_interval():
     count = 2
     values = np.concatenate([np.full(n0 - count, 1.0), np.full(count, 250.0)])
     sample = Sample.reference("beaver", values)
-    (est,) = threshold_probability(empirical_cdf(sample), sample, [200.0], level=0.95)
+    (est,) = threshold_probability(sample, [200.0], level=0.95)
     assert f"{est.ci[0]:.4g}" == "-0.0001039"
     assert f"{est.ci[1]:.4g}" == "0.0006426"
     lo_c, hi_c = est.ci_clamped
@@ -288,17 +287,16 @@ def test_threshold_interval_finite_at_level_next_to_one(rng):
     z = norm.isf((1.0 - level) / 2.0)
     model = fit(make_pair(rng))
     ref = model.data.reference
-    for cdf, source in ((drm_cdf(model), model), (empirical_cdf(ref), ref)):
-        for est in threshold_probability(cdf, source, [0.3, 1.0], level=level):
+    for source in (model, ref):
+        for est in threshold_probability(source, [0.3, 1.0], level=level):
             assert all(math.isfinite(c) for c in est.ci)
             assert est.ci[1] - est.prob == pytest.approx(z * est.se, rel=1e-14)
 
 
 def test_threshold_drm_monotone_and_symmetric(rng):
     model = fit(make_fused(rng, sizes=(300, 250, 200)))
-    cdf = drm_cdf(model)
     probs = []
-    for est in threshold_probability(cdf, model, (0.25, 0.5, 1.0, 2.0)):
+    for est in threshold_probability(model, (0.25, 0.5, 1.0, 2.0)):
         probs.append(est.prob)
         assert est.method == "drm"
         assert est.n_effective == model.data.n
@@ -310,11 +308,11 @@ def test_threshold_drm_monotone_and_symmetric(rng):
 def test_threshold_source_type_check(rng):
     model = fit(make_pair(rng))
     with pytest.raises(ArityMismatch):
-        threshold_probability(drm_cdf(model), "nonsense", [1.0])
+        threshold_probability("nonsense", [1.0])
     with pytest.raises(ArityMismatch):
-        threshold_probability(drm_cdf(model), model, [1.0], level=1.5)
+        threshold_probability(model, [1.0], level=1.5)
     with pytest.raises(ArityMismatch):
-        threshold_probability(drm_cdf(model), model, 1.0)
+        threshold_probability(model, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,8 @@ def test_fit_constraints_hold_at_optimum(rng):
     assert abs(model.weights.sum() - 1.0) < 1e-10
     assert (model.weights > 0).all()
     # sum_i p_i w_k(t_i) = 1 for every neighbor, via the bounded ratio form
-    q = np.exp(_kernels.eta_matrix(model.theta, data) - model.logD[:, None])
+    logD = -np.log(data.n0 * model.weights)   # log D_i = -log(n0 p_i)
+    q = np.exp(_kernels.eta_matrix(model.theta, data) - logD[:, None])
     for k in range(data.m):
         assert abs(q[:, k].sum() / data.n0 - 1.0) < 1e-8
     assert model.score_norm <= 1e-8 * data.n
@@ -352,15 +353,16 @@ def _parity_cases():
 
 def test_fit_matches_two_loop_oracle():
     # the one-loop fitter against the ascent-then-polish route it replaced:
-    # same iterations, bit-identical theta, l, score norm, S and logD
+    # same iterations, bit-identical theta, l, score norm, S, weights and U
     for name, data in _parity_cases():
         model = fit(data)
-        theta, loglik, iterations, score_norm, H, logD = newton_oracle.fit_core(data)
+        theta, loglik, iterations, score_norm, H, logD, U = newton_oracle.fit_core(data)
         assert model.iterations == iterations, name
         assert model.theta.tobytes() == theta.tobytes(), name
         assert (model.loglik, model.score_norm) == (loglik, score_norm), name
         assert model.S.tobytes() == (-H / data.n).tobytes(), name
-        assert model.logD.tobytes() == logD.tobytes(), name
+        assert model.weights.tobytes() == _kernels.fused_weights(logD, data).tobytes(), name
+        assert model.U.tobytes() == U.tobytes(), name
 
 
 def test_fit_evaluates_the_exponents_once_per_candidate(rng, monkeypatch):

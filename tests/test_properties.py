@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ingest_oracle
-from drmfuse import Sample, TiltSpec, cli, drm_cdf, fit, threshold_probability, validate
+from drmfuse import Sample, TiltSpec, cli, fit, threshold_probability, validate
 from drmfuse.core import InputError
 
 TILTS = (TiltSpec.parse("logx"), TiltSpec.parse("x,log2x"), TiltSpec(()))
@@ -18,7 +18,7 @@ TILTS = (TiltSpec.parse("logx"), TiltSpec.parse("x,log2x"), TiltSpec(()))
 
 def _estimates(ref, neighbors, tilts, T):
     model = fit(validate([ref, *neighbors], list(tilts)))
-    est = threshold_probability(drm_cdf(model), model, T)
+    est = threshold_probability(model, T)
     return np.array([[e.prob, e.se] for e in est])
 
 
