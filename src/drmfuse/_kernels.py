@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FusedData, NonFinite
+from .core import FusedData, InputError, NonFinite
 
 
 def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
@@ -69,3 +69,31 @@ def tilt_design(U: np.ndarray, data: FusedData) -> np.ndarray:
 def fused_weights(logD: np.ndarray, data: FusedData) -> np.ndarray:
     """Empirical-likelihood point masses p_i = 1 / (n_0 D_i)."""
     return np.exp(-np.log(data.n0) - logD)
+
+
+def at_or_below(t: np.ndarray, T: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """For each threshold T_j, the count of points t_i <= T_j, or with
+    ``weights`` of shape (n, c) the per-column sums of their rows, shape (K, c).
+
+    Only the K thresholds are sorted, never t: b_i = searchsorted(sorted T, t_i,
+    "left") is the number of thresholds below t_i, so point i counts toward
+    the threshold of rank r exactly when b_i <= r. Binning on b and a
+    cumulative sum over the first K bins cost O(n log K). A tied threshold
+    reads the same sum from an empty bin, so the result does not depend on
+    the order of T. A NaN threshold is an InputError.
+    """
+    nan = np.isnan(T)
+    if nan.any():
+        raise InputError(f"threshold at position {int(np.argmax(nan))} is NaN")
+    K = T.size
+    order = np.argsort(T, kind="stable")
+    b = np.searchsorted(T[order], t, side="left")
+    if weights is None:
+        binned = np.bincount(b, minlength=K + 1)[:K]
+    else:
+        binned = np.empty((K, weights.shape[1]))
+        for j in range(weights.shape[1]):
+            binned[:, j] = np.bincount(b, weights=weights[:, j], minlength=K + 1)[:K]
+    out = np.empty_like(binned)
+    out[order] = np.cumsum(binned, axis=0)
+    return out

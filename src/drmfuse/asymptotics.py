@@ -12,14 +12,16 @@ all-ones matrix, and the pointwise variance of sqrt(n)(Gtilde(t) - G(t)) is
     a = (rho_1 A_1(t), ..., rho_m A_m(t), rho_1 B_1(t)', ..., rho_m B_m(t)'),
 
 where G(t), A_k(t) = int^t w_k / D dG and B_k(t) = int^t w_k h_k / D dG are
-estimated by p-weighted sums over the fused points at or below t.
+estimated by p-weighted sums over the fused points at or below t. Those sums
+are binned on the K thresholds (``_kernels.at_or_below``), so the fused
+points are never sorted and a call costs O(n log K).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import tilt_design
+from ._kernels import at_or_below, tilt_design
 from .core import FittedModel, NonFinite, SingularMatrix
 
 _COND_LIMIT = 1e12
@@ -58,25 +60,24 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
     """(G(t), plug-in sigma(t)) at each threshold of the 1-d array ``T``.
 
     Both are piecewise constant between adjacent fused points; negative sigma
-    values are clamped to zero. G and the partial sums behind A and B come
-    from one cumulative pass over the fused points sorted by t, with the
-    fit's ratios ``U``, so each threshold costs a binary search and one
-    quadratic form in S^{-1}."""
+    values are clamped to zero. G and the partial sums behind A and B are the
+    sums of their integrands over the fused points at or below each
+    threshold, binned on the thresholds by ``at_or_below`` with the fit's
+    ratios ``U``: O(n log K) for K thresholds, without sorting the fused
+    points, and one quadratic form in S^{-1} per threshold. A NaN threshold
+    is an InputError."""
     data = fit.data
     m = data.m
-    # Row 1 + i holds p_i (1, Psi_i): the G, rho_k A_k and rho_k B_k integrands
-    # at t_i. Sorted by t and summed in place, row j is (G, a) at the j-th
-    # smallest fused point; row 0 is t below all data.
-    cum = np.zeros((data.n + 1, 1 + m + data.r))
-    cum[1:, 0] = fit.weights
-    np.multiply(tilt_design(fit.U, data), fit.weights[:, None], out=cum[1:, 1:])
-    order = np.argsort(data.t, kind="stable")
-    np.cumsum(cum[1:][order], axis=0, out=cum[1:])
-    at = cum[np.searchsorted(data.t[order], np.asarray(T, dtype=float), side="right")]
-    G, a = at[..., 0], at[..., 1:]
+    # Column 0 holds p_i, the G integrand; columns 1: hold p_i Psi_i, the
+    # rho_k A_k and rho_k B_k integrands at t_i
+    W = np.empty((data.n, 1 + m + data.r), order="F")
+    W[:, 0] = fit.weights
+    np.multiply(tilt_design(fit.U, data), fit.weights[:, None], out=W[:, 1:])
+    at = at_or_below(data.t, np.asarray(T, dtype=float), W)
+    G, a = at[:, 0], at[:, 1:]
     Sinv = _sym_inverse(fit.S, "S")
-    value = (data.rho.sum() * (G - G * G - a[..., :m].sum(axis=-1))
-             + ((a @ Sinv) * a).sum(axis=-1))
+    value = (data.rho.sum() * (G - G * G - a[:, :m].sum(axis=1))
+             + ((a @ Sinv) * a).sum(axis=1))
     if not np.isfinite(value).all():
         raise NonFinite("sigma(t)")
     return G, np.where(value < 0.0, 0.0, value)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import math
@@ -433,28 +434,27 @@ def _add_data_flags(p, tilt: bool):
                        help="'auto', 'global', or per-neighbor spec like 'x,logx;x,log2x'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. Each subcommand name
+    maps to the module's ``cmd_<name>``, looked up when ``main`` dispatches."""
     parser = _Parser(prog="drmfuse", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="pooled fit with estimates and standard errors")
     _add_data_flags(p, tilt=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("refine", help="per-period tilt selection table")
     _add_data_flags(p, tilt=False)
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("threshold", help="threshold probabilities with CIs")
     _add_data_flags(p, tilt=True)
     p.add_argument("--thresholds", default="5,10,25,50,100,150,200",
                    help="comma-separated threshold list")
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("gof", help="goodness-of-fit pairs (Ghat, Gtilde)")
     _add_data_flags(p, tilt=True)
-    p.set_defaults(func=cmd_gof)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimator comparison")
     p.add_argument("--reps", type=int, default=300)
@@ -462,15 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0,10,1000")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"drmfuse: config error: {e}", file=sys.stderr)
         return 4

@@ -9,6 +9,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import asymptotics, likelihood
+from ._kernels import at_or_below
 from .core import (
     ArityMismatch,
     Basis,
@@ -190,9 +191,12 @@ def threshold_probability(
     """Exceedance probabilities 1 - G(t) with Wald intervals, one per t in T.
 
     A FittedModel source takes G(t) and the variance sigma(t)/n from
-    ``asymptotics.sigma_t``; a Sample source takes its empirical CDF and the
-    binomial Wald variance p(1-p)/n_0. Intervals are reported raw (they may
-    cross 0 or 1); see ci_clamped for the truncated version.
+    ``asymptotics.sigma_t``; a Sample source counts its values above each t
+    and takes the binomial Wald variance p(1-p)/n_0. Both bin the values on
+    the thresholds (``_kernels.at_or_below``, O(n log K) for K thresholds)
+    and sort no array of n values. A NaN threshold is an InputError; -inf and
+    +inf give 1 and 0. Intervals are reported raw (they may cross 0 or 1);
+    see ci_clamped for the truncated version.
     """
     if not 0.0 < level < 1.0:
         raise ArityMismatch(f"confidence level must be in (0, 1), got {level!r}")
@@ -200,17 +204,17 @@ def threshold_probability(
     if T.ndim != 1:
         raise ArityMismatch(f"thresholds must be a 1-d sequence, got shape {T.shape}")
     z = _wald_z(level)
-    # cumsum rounding can leave G(T) a few ulp outside [0, 1], hence the clips
     if isinstance(source, FittedModel):
         n = source.data.n
         G, sigma = asymptotics.sigma_t(source, T)
+        # summation rounding can leave G(T) a few ulp outside [0, 1], hence the clip
         prob = np.clip(1.0 - G, 0.0, 1.0)
         se = np.sqrt(sigma / n)
         method = "drm"
     elif isinstance(source, Sample):
         n = source.n
-        prob = np.clip(1.0 - empirical_cdf(source)(T), 0.0, 1.0)
-        se = np.sqrt(np.maximum(prob * (1.0 - prob), 0.0) / n)
+        prob = (n - at_or_below(source.values, T)) / n   # exactly the share of values above T
+        se = np.sqrt(prob * (1.0 - prob) / n)
         method = "empirical"
     else:
         raise ArityMismatch(f"source must be a FittedModel or Sample, got {type(source)!r}")

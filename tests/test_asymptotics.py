@@ -241,3 +241,46 @@ def test_sigma_t_matches_oracle_at_every_fused_point(rng, tilts):
     got = sigma_t(model, pts)[1]
     want = np.array([oracle.sigma_t(model, t) for t in pts])
     assert np.max(np.abs(got - want)) <= 1e-10 * want.max()
+
+
+def test_at_or_below_matches_a_direct_count(rng):
+    t = np.round(rng.exponential(1.0, 500), 1)   # ties
+    W = np.asfortranarray(rng.normal(size=(500, 3)))
+    T = np.concatenate([t[:20], [-np.inf, np.inf, -1.0, 0.05, 2.55], t[:5]])
+    below = t[None, :] <= T[:, None]
+    assert np.array_equal(_kernels.at_or_below(t, T), below.sum(axis=1))
+    assert np.max(np.abs(_kernels.at_or_below(t, T, W) - below @ W)) <= 1e-12
+
+
+def test_threshold_results_follow_the_order_of_T(rng):
+    # repeats, fused points, midpoints, values below the minimum and +-inf
+    model = fit(make_fused(rng, sizes=(200, 150, 120)))
+    pts = np.unique(model.data.t)
+    T = np.concatenate([pts[::9], pts[::27], 0.5 * (pts[1:60:6] + pts[2:61:6]),
+                        [pts[0] / 2.0, -np.inf, np.inf, np.inf, pts[-1]]])
+    G, sigma = sigma_t(model, T)
+    sources = (model, model.data.reference)
+    estimates = [threshold_probability(source, T) for source in sources]
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(T.size)
+        G_perm, sigma_perm = sigma_t(model, T[perm])
+        assert G_perm.tobytes() == G[perm].tobytes()
+        assert sigma_perm.tobytes() == sigma[perm].tobytes()
+        for source, est in zip(sources, estimates):
+            assert threshold_probability(source, T[perm]) == tuple(est[i] for i in perm)
+
+
+def test_threshold_path_sorts_no_records(rng, monkeypatch):
+    # only the K thresholds may be sorted: any sort of n or more elements fails
+    model = fit(make_fused(rng))
+    sources = (model, model.data.reference)
+    limit = model.data.reference.n   # the smaller record count of the two sources
+    T = np.quantile(model.data.t, np.linspace(0.0, 1.0, 25))
+    expected = [threshold_probability(source, T) for source in sources]
+    for name in ("argsort", "sort", "unique"):
+        def guarded(a, *args, _orig=getattr(np, name), _name=name, **kwargs):
+            if np.size(a) >= limit:
+                raise AssertionError(f"np.{_name} on {np.size(a)} elements")
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, guarded)
+    assert [threshold_probability(source, T) for source in sources] == expected

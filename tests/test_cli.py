@@ -336,6 +336,28 @@ def test_cmd_simulate_deterministic(capsys):
     assert first.splitlines()[0] == "estimator,metric,value,mc_se,I,n"
 
 
+def test_cached_parser_matches_a_fresh_one(radon_csv, capsys, monkeypatch):
+    # main reuses one parser per process: consecutive commands give the stdout
+    # and exit code that each gets from a freshly built parser
+    argvs = [["fit", *_flags(radon_csv, "--tilt", "global")],
+             ["threshold", *_flags(radon_csv, "--tilt", "global", "--thresholds", "5,50")],
+             ["fit"],
+             ["gof", *_flags(radon_csv, "--tilt", "global")],
+             ["simulate", "--reps", "1", "--sizes", "120,120,120", "--grid", "0,10,20"],
+             ["refine", *_flags(radon_csv, "--alpha", "1.5")],
+             ["threshold", *_flags(radon_csv, "--tilt", "global", "--thresholds", "nan")]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr().out))
+    assert [rc for rc, _ in fresh] == [0, 0, 4, 0, 0, 4, 4]
+    assert [(main(argv), capsys.readouterr().out) for argv in argvs] == fresh
+    assert cli.build_parser() is cli.build_parser()
+    # dispatch looks the subcommand up in the module, so a patched one runs
+    monkeypatch.setattr(cli, "cmd_gof", lambda args: 7)
+    assert main(["gof", *_flags(radon_csv)]) == 7
+
+
 def test_cmd_out_flag_writes_file(radon_csv, tmp_path, capsys):
     out = tmp_path / "fit.csv"
     rc = main(["fit", *_flags(radon_csv, "--tilt", "global", "--out", str(out))])

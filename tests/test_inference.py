@@ -8,6 +8,7 @@ from drmfuse import (
     ArityMismatch,
     GLOBAL_TILT,
     Basis,
+    InputError,
     Sample,
     TiltSpec,
     chi_square_beta_test,
@@ -303,6 +304,28 @@ def test_threshold_drm_monotone_and_symmetric(rng):
         assert (est.ci[0] + est.ci[1]) / 2.0 == pytest.approx(est.prob, abs=1e-15)
         assert est.ci[0] <= est.prob <= est.ci[1]
     assert all(a >= b for a, b in zip(probs[:-1], probs[1:]))
+
+
+def test_empirical_exceedance_is_the_exact_share_above(rng):
+    # ties, thresholds at data points, between them, at and above the maximum
+    values = np.round(rng.lognormal(1.0, 0.8, 300), 1) + 0.1
+    n = values.size
+    pts = np.unique(values)
+    T = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]), [3.0, 2.0 * pts[-1], -np.inf, np.inf]])
+    for t, est in zip(T, threshold_probability(Sample.reference("r", values), T)):
+        p = np.count_nonzero(values > t) / n
+        assert est.prob == p and est.se == math.sqrt(p * (1.0 - p) / n), t
+    assert pts.size < n
+
+
+def test_nan_threshold_is_an_input_error(rng):
+    model = fit(make_pair(rng))
+    for source in (model, model.data.reference):
+        with pytest.raises(InputError, match="position 2 is NaN"):
+            threshold_probability(source, [1.0, np.inf, np.nan, 2.0])
+        below, above = threshold_probability(source, [-np.inf, np.inf])
+        assert below.prob == 1.0 and below.se == 0.0
+        assert above.prob == pytest.approx(0.0, abs=1e-14)
 
 
 def test_threshold_source_type_check(rng):
