@@ -21,7 +21,6 @@ from .core import (
     Sample,
     SingularHessian,
     SingularMatrix,
-    StepCDF,
     TiltSpec,
     validate,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "FusedData", "GLOBAL_TILT", "GofResult", "InputError", "NoConvergence",
     "NonFinite", "NonPositiveValue", "NumericalError", "Role",
     "Sample", "Sigma_matrix", "SimConfig", "SingularHessian",
-    "SingularMatrix", "StepCDF", "TestReport", "ThresholdEstimate",
+    "SingularMatrix", "TestReport", "ThresholdEstimate",
     "TiltSpec", "chi_square_beta_test", "drm_cdf", "empirical_cdf",
     "exp2_cdf", "fit", "generate", "gof_pairs", "hessian", "miae_mise",
     "profile_loglik", "refine_tilts", "run_comparison", "score", "sigma_t",

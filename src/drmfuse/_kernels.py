@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FusedData, InputError, NonFinite
+from .core import ArityMismatch, FusedData, InputError, NonFinite
 
 
 def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
@@ -71,17 +71,22 @@ def fused_weights(logD: np.ndarray, data: FusedData) -> np.ndarray:
     return np.exp(-np.log(data.n0) - logD)
 
 
-def at_or_below(t: np.ndarray, T: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """For each threshold T_j, the count of points t_i <= T_j, or with
-    ``weights`` of shape (n, c) the per-column sums of their rows, shape (K, c).
+def at_or_below(t: np.ndarray, T, weights: np.ndarray | None = None) -> np.ndarray:
+    """For each threshold T_j of the 1-d ``T``, the count of points t_i <= T_j,
+    or with ``weights`` of shape (n, c) the per-column sums of their rows,
+    shape (K, c). This is the package's one CDF evaluator.
 
     Only the K thresholds are sorted, never t: b_i = searchsorted(sorted T, t_i,
     "left") is the number of thresholds below t_i, so point i counts toward
     the threshold of rank r exactly when b_i <= r. Binning on b and a
     cumulative sum over the first K bins cost O(n log K). A tied threshold
     reads the same sum from an empty bin, so the result does not depend on
-    the order of T. A NaN threshold is an InputError.
+    the order of T. A NaN threshold is an InputError, and a T that is not 1-d
+    an ArityMismatch.
     """
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 1:
+        raise ArityMismatch(f"thresholds must be a 1-d sequence, got shape {T.shape}")
     nan = np.isnan(T)
     if nan.any():
         raise InputError(f"threshold at position {int(np.argmax(nan))} is NaN")

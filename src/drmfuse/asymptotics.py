@@ -65,7 +65,7 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
     threshold, binned on the thresholds by ``at_or_below`` with the fit's
     ratios ``U``: O(n log K) for K thresholds, without sorting the fused
     points, and one quadratic form in S^{-1} per threshold. A NaN threshold
-    is an InputError."""
+    is an InputError and a T that is not 1-d an ArityMismatch."""
     data = fit.data
     m = data.m
     # Column 0 holds p_i, the G integrand; columns 1: hold p_i Psi_i, the
@@ -73,7 +73,7 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
     W = np.empty((data.n, 1 + m + data.r), order="F")
     W[:, 0] = fit.weights
     np.multiply(tilt_design(fit.U, data), fit.weights[:, None], out=W[:, 1:])
-    at = at_or_below(data.t, np.asarray(T, dtype=float), W)
+    at = at_or_below(data.t, T, W)
     G, a = at[:, 0], at[:, 1:]
     Sinv = _sym_inverse(fit.S, "S")
     value = (data.rho.sum() * (G - G * G - a[:, :m].sum(axis=1))

@@ -1,4 +1,4 @@
-"""Domain types: samples, tilt specifications, fused data, fitted models, step CDFs.
+"""Domain types: samples, tilt specifications, fused data, fitted models.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -233,7 +233,6 @@ class FusedData:
     t: np.ndarray
     rho: np.ndarray
     # derived layout, computed once in validate()
-    n_k: np.ndarray = field(repr=False)
     X: np.ndarray = field(repr=False)
     nbr: np.ndarray = field(repr=False)
     col: np.ndarray = field(repr=False)
@@ -288,7 +287,6 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
         neighbors=tuple(zip(samples[1:], tilts)),
         t=t,
         rho=rho,
-        n_k=_freeze(n_k),
         X=X,
         nbr=_freeze(nbr, int),
         col=_freeze(col, int),
@@ -300,7 +298,7 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
 
 
 # ---------------------------------------------------------------------------
-# Fitted model and step CDFs
+# Fitted model
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -322,42 +320,3 @@ class FittedModel:
     U: np.ndarray                # (n, m) ratios rho_k w_k(t_i) / D_i at theta
     data: FusedData
 
-
-@dataclass(frozen=True, eq=False)
-class StepCDF:
-    """Right-continuous step CDF over sorted unique support points."""
-
-    points: np.ndarray
-    cum: np.ndarray
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        cum = np.asarray(self.cum, dtype=float)
-        if points.shape != cum.shape or points.ndim != 1:
-            raise InputError("points and cum must be matching 1-d arrays")
-        if points.size and np.any(np.diff(points) <= 0):
-            raise InputError("points must be strictly increasing")
-        if cum.size and np.any(np.diff(cum) < -1e-12):
-            raise InputError("cumulative masses must be nondecreasing")
-        object.__setattr__(self, "points", _freeze(points))
-        object.__setattr__(self, "cum", _freeze(cum))
-
-    @classmethod
-    def from_weighted(cls, points: np.ndarray, masses: np.ndarray) -> "StepCDF":
-        """Build from (possibly tied, unsorted) points with attached masses."""
-        points = np.asarray(points, dtype=float)
-        masses = np.asarray(masses, dtype=float)
-        uniq, inverse = np.unique(points, return_inverse=True)
-        merged = np.bincount(inverse, weights=masses, minlength=uniq.size)
-        return cls(uniq, np.cumsum(merged))
-
-    def __call__(self, x):
-        """Evaluate the CDF at scalar or array x (right-continuous)."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.points, x, side="right")
-        out = np.where(idx > 0, self.cum[np.minimum(idx - 1, self.cum.size - 1)], 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def total(self) -> float:
-        return float(self.cum[-1]) if self.cum.size else 0.0

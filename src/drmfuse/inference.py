@@ -17,7 +17,6 @@ from .core import (
     FittedModel,
     GLOBAL_TILT,
     Sample,
-    StepCDF,
     TiltSpec,
     validate,
 )
@@ -66,15 +65,17 @@ class GofResult:
     max_abs_diff: float
 
 
-def empirical_cdf(sample: Sample) -> StepCDF:
-    """Model-free empirical CDF of one sample."""
-    n = sample.n
-    return StepCDF.from_weighted(sample.values, np.full(n, 1.0 / n))
+def empirical_cdf(sample: Sample, x) -> np.ndarray:
+    """Model-free empirical CDF of one sample at each point of the 1-d ``x``:
+    the exact share k/n of values at or below it."""
+    return at_or_below(sample.values, x) / sample.n
 
 
-def drm_cdf(fit: FittedModel) -> StepCDF:
-    """Fused-data estimate of the reference CDF: mass p_i at each fused point."""
-    return StepCDF.from_weighted(fit.data.t, fit.weights)
+def drm_cdf(fit: FittedModel, x) -> np.ndarray:
+    """Fused-data estimate of the reference CDF at each point of the 1-d
+    ``x``: the mass p_i of the fused points at or below it. Bitwise equal to
+    ``sigma_t(fit, x)[0]``, which bins the same weights column."""
+    return at_or_below(fit.data.t, x, fit.weights[:, None])[:, 0]
 
 
 def _two_sided_p(z: float) -> float:
@@ -140,8 +141,8 @@ def z_tests(fit2: FittedModel) -> TestReport:
     n = fit2.data.n
     comps = []
     for j, b in enumerate(fit2.data.neighbors[0][1].basis):
-        var = Sigma_beta[j, j]
-        z = float(beta[j] / np.sqrt(var / n)) if var > 0 else np.inf * np.sign(beta[j])
+        # Sigma's beta block is that of S^-1, and S is positive definite, so var > 0
+        z = float(beta[j] / np.sqrt(Sigma_beta[j, j] / n))
         comps.append(ComponentTest(basis=b, z=z, p=_two_sided_p(z)))
     return TestReport(
         statistic=joint.statistic,
@@ -194,15 +195,14 @@ def threshold_probability(
     ``asymptotics.sigma_t``; a Sample source counts its values above each t
     and takes the binomial Wald variance p(1-p)/n_0. Both bin the values on
     the thresholds (``_kernels.at_or_below``, O(n log K) for K thresholds)
-    and sort no array of n values. A NaN threshold is an InputError; -inf and
-    +inf give 1 and 0. Intervals are reported raw (they may cross 0 or 1);
-    see ci_clamped for the truncated version.
+    and sort no array of n values. A NaN threshold is an InputError and a T
+    that is not 1-d an ArityMismatch; -inf and +inf give 1 and 0. Intervals
+    are reported raw (they may cross 0 or 1); see ci_clamped for the
+    truncated version.
     """
     if not 0.0 < level < 1.0:
         raise ArityMismatch(f"confidence level must be in (0, 1), got {level!r}")
     T = np.asarray(T, dtype=float)
-    if T.ndim != 1:
-        raise ArityMismatch(f"thresholds must be a 1-d sequence, got shape {T.shape}")
     z = _wald_z(level)
     if isinstance(source, FittedModel):
         n = source.data.n
@@ -238,8 +238,6 @@ def gof_pairs(fit: FittedModel) -> GofResult:
     Points near the 45-degree line indicate the tilt structure fits; a large
     max_abs_diff is the misspecification alarm.
     """
-    ghat = empirical_cdf(fit.data.reference)
-    gtilde = drm_cdf(fit)
-    ts = ghat.points
-    pairs = np.column_stack([ghat(ts), gtilde(ts)])
+    ts = np.unique(fit.data.reference.values)
+    pairs = np.column_stack([empirical_cdf(fit.data.reference, ts), drm_cdf(fit, ts)])
     return GofResult(pairs=pairs, max_abs_diff=float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]))))

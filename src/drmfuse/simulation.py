@@ -30,7 +30,6 @@ from .core import (
     GLOBAL_TILT,
     NumericalError,
     Sample,
-    StepCDF,
     TiltSpec,
     validate,
 )
@@ -69,11 +68,6 @@ class SimConfig:
         if any(n < 1 for n in self.sizes):
             raise ArityMismatch("sample sizes must be >= 1")
 
-    @property
-    def delta(self) -> float:
-        m1, m2, j = self.grid
-        return (m2 - m1) / j
-
 
 def exp2_cdf(x):
     """True reference CDF, Exp(rate 2)."""
@@ -99,8 +93,8 @@ def generate(seed, sizes: tuple[int, int, int]) -> tuple[Sample, Sample, Sample]
 def miae_mise(estimate, truth, grid: tuple[float, float, int]) -> tuple[float, float]:
     """Single-replicate integrated absolute and squared CDF error.
 
-    ``estimate`` is a StepCDF or any callable; evaluation points are
-    M1 + j*delta for j = 1..J.
+    ``estimate`` and ``truth`` are callables on the 1-d array of evaluation
+    points M1 + j*delta for j = 1..J.
     """
     m1, m2, j = grid
     if not (m2 > m1 and j >= 1):
@@ -156,12 +150,10 @@ class ComparisonTable:
 def _replicate_errors(samples, which: str, grid) -> tuple[float, float]:
     ref, g, ln = samples
     if which == "empirical":
-        est = inference.empirical_cdf(ref)
-    else:
-        tilts = UNIFORM_TILTS if which == "uniform" else REFINED_TILTS
-        data = validate([ref, g, ln], list(tilts))
-        est = inference.drm_cdf(likelihood.fit(data))
-    return miae_mise(est, exp2_cdf, grid)
+        return miae_mise(lambda x: inference.empirical_cdf(ref, x), exp2_cdf, grid)
+    tilts = UNIFORM_TILTS if which == "uniform" else REFINED_TILTS
+    model = likelihood.fit(validate([ref, g, ln], list(tilts)))
+    return miae_mise(lambda x: inference.drm_cdf(model, x), exp2_cdf, grid)
 
 
 def run_comparison(cfg: SimConfig) -> ComparisonTable:

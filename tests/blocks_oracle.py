@@ -158,7 +158,7 @@ def score_hessian(theta, data):
     q, _ = _ratios(theta, data, basis)
     U = data.rho[1:] * q
     s = np.empty(m + offs[-1])
-    s[:m] = data.n_k[1:] - U.sum(axis=0)
+    s[:m] = [nb.n for nb, _ in data.neighbors] - U.sum(axis=0)
     for k in range(m):
         if offs[k + 1] > offs[k]:
             s[m + offs[k]:m + offs[k + 1]] = suff[k] - U[:, k] @ basis[k]

@@ -14,7 +14,7 @@ from drmfuse import (
     validate,
 )
 
-from drmfuse import _kernels, asymptotics, inference, likelihood
+from drmfuse import _kernels, asymptotics, inference, likelihood, simulation
 
 import blocks_oracle as oracle
 from conftest import make_fused, make_pair
@@ -186,7 +186,7 @@ def test_threshold_estimates_reuse_the_fits_ratios(rng, monkeypatch):
 
 @pytest.mark.parametrize("case", ["untied", "tied-0.1", "shared-points"])
 def test_sigma_t_G_matches_the_step_cdf(rng, case):
-    # sigma_t's G against the step CDF built from the weights, at every
+    # sigma_t's G against a dense count of the weights, at every
     # distinct fused point, between them, below the minimum and above the maximum
     data = make_fused(rng, sizes=(300, 250, 200))
     if case == "tied-0.1":   # the + 0.1 keeps every value positive
@@ -211,7 +211,7 @@ def test_sigma_t_G_matches_the_step_cdf(rng, case):
     T = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:]),
                         [pts[0] / 2.0, pts[0] - 1e-12, pts[-1] * 2.0, np.inf]])
     G, _ = sigma_t(model, T)
-    want = drm_cdf(model)(T)
+    want = (data.t[None, :] <= T[:, None]) @ model.weights   # dense oracle
     assert np.max(np.abs(G - want)) <= 1e-13
     assert G[-4] == G[-3] == 0.0
 
@@ -284,3 +284,40 @@ def test_threshold_path_sorts_no_records(rng, monkeypatch):
             return _orig(a, *args, **kwargs)
         monkeypatch.setattr(np, name, guarded)
     assert [threshold_probability(source, T) for source in sources] == expected
+
+
+def test_cdf_and_simulation_paths_sort_no_records(monkeypatch):
+    # drm_cdf over the fused records and a Monte Carlo replicate's three
+    # estimators sort only their evaluation points, never n0 or more records
+    samples = simulation.generate(7, (200, 200, 200))
+    model = fit(validate(list(samples), list(simulation.REFINED_TILTS)))
+    grid = (0.0, 5.0, 50)
+    T = np.linspace(0.0, 5.0, 50)
+
+    def outputs():
+        return (drm_cdf(model, T).tobytes(),
+                [simulation._replicate_errors(samples, name, grid)
+                 for name in simulation.ESTIMATORS])
+
+    expected = outputs()
+    limit = samples[0].n
+    for name in ("argsort", "sort", "unique"):
+        def guarded(a, *args, _orig=getattr(np, name), _name=name, **kwargs):
+            if np.size(a) >= limit:
+                raise AssertionError(f"np.{_name} on {np.size(a)} elements")
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, guarded)
+    assert outputs() == expected
+
+
+def test_Sigma_beta_block_is_that_of_S_inverse(rng):
+    # Sigma_matrix corrects only the alpha block, so the beta variances that
+    # z_tests divides by are the diagonal of S^-1 there, positive for a
+    # positive definite S
+    for tilts in (("x,logx,log2x", "x,log2x"), ("logx", "-"), ("", "x")):
+        model = fit(make_fused(rng, sizes=(200, 150, 120), tilts=tilts))
+        m = model.data.m
+        want = asymptotics._sym_inverse(model.S, "S")[m:, m:]
+        got = model.Sigma[m:, m:]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(np.diag(got) > 0.0)

@@ -9,7 +9,6 @@ from drmfuse import (
     GLOBAL_TILT,
     NonPositiveValue,
     Sample,
-    StepCDF,
     TiltSpec,
     validate,
 )
@@ -98,26 +97,6 @@ def test_tiltspec_parse_format_roundtrip():
     assert TiltSpec.parse("x,logx,log2x") == GLOBAL_TILT
     with pytest.raises(Exception):
         TiltSpec.parse("x,bogus")
-
-
-def test_stepcdf_merges_ties_and_is_right_continuous():
-    cdf = StepCDF.from_weighted(np.array([2.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
-    assert np.array_equal(cdf.points, [1.0, 2.0])
-    assert np.allclose(cdf.cum, [0.5, 1.0])
-    assert cdf(0.999) == 0.0
-    assert cdf(1.0) == 0.5          # jump attained at the point
-    assert cdf(1.5) == 0.5
-    assert cdf(2.0) == 1.0
-    assert cdf(100.0) == 1.0
-    assert np.allclose(cdf(np.array([0.0, 1.0, 3.0])), [0.0, 0.5, 1.0])
-    assert abs(cdf.total - 1.0) < 1e-12
-
-
-def test_stepcdf_rejects_disorder():
-    with pytest.raises(Exception):
-        StepCDF(np.array([2.0, 1.0]), np.array([0.5, 1.0]))
-    with pytest.raises(Exception):
-        StepCDF(np.array([1.0, 2.0]), np.array([0.8, 0.5]))
 
 
 def test_core_arrays_are_immutable():

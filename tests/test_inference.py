@@ -17,6 +17,7 @@ from drmfuse import (
     fit,
     gof_pairs,
     refine_tilts,
+    sigma_t,
     threshold_probability,
     validate,
     z_tests,
@@ -40,17 +41,16 @@ def _identical_pair(rng, n=400):
 # ---------------------------------------------------------------------------
 
 def test_empirical_cdf_basics():
-    cdf = empirical_cdf(Sample.reference("r", [1.0, 2.0, 3.0]))
-    assert cdf(2.0) == pytest.approx(2.0 / 3.0)
-    assert cdf(1.0 - 1e-9) == 0.0
-    assert cdf(3.0) == 1.0
+    sample = Sample.reference("r", [1.0, 2.0, 3.0])
+    got = empirical_cdf(sample, [2.0, 1.0 - 1e-9, 3.0])
+    assert got[0] == pytest.approx(2.0 / 3.0)
+    assert got[1] == 0.0 and got[2] == 1.0
 
 
 def test_empirical_cdf_beaver_pooled_exceedances():
     # 2 exceedances of 200 among n0 = 7425 gives 1 - Ghat(200) = 2.693e-4
     values = np.concatenate([np.full(7423, 1.0), [250.0, 300.0]])
-    cdf = empirical_cdf(Sample.reference("beaver", values))
-    prob = 1.0 - cdf(200.0)
+    prob = 1.0 - empirical_cdf(Sample.reference("beaver", values), [200.0])[0]
     assert prob == pytest.approx(2.0 / 7425.0, rel=1e-12)
     assert f"{prob:.4g}" == "0.0002694"
 
@@ -58,25 +58,42 @@ def test_empirical_cdf_beaver_pooled_exceedances():
 def test_drm_cdf_no_neighbors_equals_empirical(rng):
     ref = Sample.reference("r", rng.exponential(1.0, 200))
     model = fit(validate([ref], []))
-    gtilde = drm_cdf(model)
-    ghat = empirical_cdf(ref)
     xs = np.linspace(0, 5, 101)
-    assert np.allclose(gtilde(xs), ghat(xs), atol=1e-12)
+    assert np.allclose(drm_cdf(model, xs), empirical_cdf(ref, xs), atol=1e-12)
 
 
 def test_drm_cdf_support_spans_fused_data(rng):
     ref = Sample.reference("r", rng.uniform(1.0, 2.0, 100))
     nb = Sample.neighbor("n", rng.uniform(1.5, 6.0, 100))
     model = fit(validate([ref, nb], [TiltSpec.parse("x")]))
-    gtilde = drm_cdf(model)
-    assert gtilde.points.max() > ref.values.max()
-    assert 0.0 < gtilde(3.0) < 1.0  # mass beyond the reference's own range
+    at_ref_max, at_3 = drm_cdf(model, [ref.values.max(), 3.0])
+    assert at_ref_max < 1.0
+    assert 0.0 < at_3 < 1.0  # mass beyond the reference's own range
 
 
 def test_cdf_estimators_total_mass(rng):
     model = fit(make_fused(rng, sizes=(200, 150, 120)))
-    assert abs(drm_cdf(model).total - 1.0) < 1e-10
-    assert abs(empirical_cdf(model.data.reference).total - 1.0) < 1e-10
+    assert abs(drm_cdf(model, [np.inf])[0] - 1.0) < 1e-10
+    assert empirical_cdf(model.data.reference, [np.inf])[0] == 1.0
+
+
+def test_drm_cdf_is_bitwise_the_G_of_sigma_t(rng):
+    model = fit(make_fused(rng, sizes=(200, 150, 120)))
+    pts = np.unique(model.data.t)
+    T = np.concatenate([pts[::7], 0.5 * (pts[:-1:11] + pts[1::11]),
+                        [-np.inf, pts[0] / 2.0, pts[-1], np.inf], pts[:3]])
+    assert drm_cdf(model, T).tobytes() == sigma_t(model, T)[0].tobytes()
+
+
+def test_empirical_cdf_is_the_exact_share(rng):
+    # ties within the reference, points of the neighbors, and +-inf
+    data = make_fused(rng, sizes=(300, 150, 120))
+    sample = Sample.reference("r", np.round(data.reference.values, 1) + 0.1)
+    T = np.concatenate([sample.values[:25], data.t[-25:], [-np.inf, np.inf, 0.05]])
+    count = (sample.values[None, :] <= T[:, None]).sum(axis=1)
+    got = empirical_cdf(sample, T)
+    assert np.array_equal(got, count / sample.n)   # k/n, not a sum of k masses 1/n
+    assert np.array_equal(np.rint(got * sample.n), count)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +338,19 @@ def test_empirical_exceedance_is_the_exact_share_above(rng):
 def test_nan_threshold_is_an_input_error(rng):
     model = fit(make_pair(rng))
     for source in (model, model.data.reference):
-        with pytest.raises(InputError, match="position 2 is NaN"):
-            threshold_probability(source, [1.0, np.inf, np.nan, 2.0])
         below, above = threshold_probability(source, [-np.inf, np.inf])
         assert below.prob == 1.0 and below.se == 0.0
         assert above.prob == pytest.approx(0.0, abs=1e-14)
+    # every CDF path takes both checks from the one kernel
+    for evaluate in (lambda T: threshold_probability(model, T),
+                     lambda T: threshold_probability(model.data.reference, T),
+                     lambda T: drm_cdf(model, T),
+                     lambda T: empirical_cdf(model.data.reference, T)):
+        with pytest.raises(InputError, match="position 2 is NaN"):
+            evaluate([1.0, np.inf, np.nan, 2.0])
+        for T in (1.0, [[1.0, 2.0]]):
+            with pytest.raises(ArityMismatch):
+                evaluate(T)
 
 
 def test_threshold_source_type_check(rng):

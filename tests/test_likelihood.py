@@ -64,12 +64,14 @@ def test_loglik_matches_independent_reimplementation(rng):
     data = make_pair(rng, n0=5, n1=5, tilt="x")
     theta = np.array([0.2, -0.3])
 
+    n1 = data.neighbors[0][0].n
+
     def naive(alpha, beta):
-        rho = [1.0, data.n_k[1] / data.n_k[0]]
+        rho = [1.0, n1 / data.n0]
         total = 0.0
         for t in data.t:
             total -= math.log(data.n0 * (rho[0] + rho[1] * math.exp(alpha + beta * t)))
-        total += data.n_k[1] * alpha
+        total += n1 * alpha
         total += beta * sum(data.neighbors[0][0].values)
         return total
 
@@ -137,11 +139,11 @@ def test_tilt_arrays_are_column_major(rng):
     # alpha_k is the coefficient of neighbor k's constant column
     assert data.X.shape == (data.n, 4) and np.all(data.X[:, 0] == 1.0)
     assert np.array_equal(data.nbr[:m], np.arange(m)) and np.all(data.col[:m] == 0)
-    assert np.array_equal(data.obs[:m], data.n_k[1:])
+    assert np.array_equal(data.obs[:m], [s.n for s, _ in data.neighbors])
     assert data.r == sum(spec.r for _, spec in data.neighbors) == data.nbr.size - m
     empty = make_fused(rng, tilts=("", "x"))
     assert (empty.r, empty.nbr.size) == (1, 3)
-    assert np.array_equal(empty.obs[:2], empty.n_k[1:])
+    assert np.array_equal(empty.obs[:2], [s.n for s, _ in empty.neighbors])
     assert validate([data.reference], []).r == 0
     eta = _kernels.eta_matrix(rng.normal(0, 0.1, data.m + data.r), data)
     assert eta.flags.f_contiguous
@@ -156,7 +158,8 @@ def _tied(data):
     """``data`` with its values rounded to 0.1 (plus 0.1, to stay positive), so
     every value is repeated across and within samples."""
     vals = np.round(data.t, 1) + 0.1
-    ref, *nbs = np.split(vals, np.cumsum(data.n_k)[:-1].astype(int))
+    sizes = [data.n0] + [s.n for s, _ in data.neighbors]
+    ref, *nbs = np.split(vals, np.cumsum(sizes)[:-1])
     return validate([Sample.reference("r", ref)]
                     + [Sample.neighbor(f"n{k}", v) for k, v in enumerate(nbs)],
                     [spec for _, spec in data.neighbors])
