@@ -4,7 +4,11 @@ Input files are UTF-8 CSV with header ``region,period,value`` (comma
 separated, decimal point), with or without a leading byte-order mark. Fields
 follow CSV quoting; blank and whitespace-only lines are skipped and fields
 are stripped. A row without three fields or with a value that is not a
-finite number is an input error naming the first such line. Subcommands:
+finite number is an input error naming the first such line. The reference
+and neighbor regions must be distinct; rows of other regions are ignored,
+and rows with a value <= 0 are dropped and counted on stderr. Every data
+subcommand reads its file once, into the sample list that the fit takes.
+Subcommands:
 
   refine     per-period pairwise tilt selection (one row per period, plus a
              pooled row when several periods are selected)
@@ -26,7 +30,6 @@ import itertools
 import math
 import sys
 from collections.abc import Collection
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,17 +66,6 @@ class EmptyAfterFilter(InputError):
     def __init__(self, region: str):
         super().__init__(f"region {region!r} has no usable rows after filtering")
         self.region = region
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    reference: Sample
-    neighbors: tuple[Sample, ...]
-    rejected: dict[str, int]          # per-region count of non-positive rows
-    periods_seen: tuple[str, ...]
-
-    def samples(self) -> list[Sample]:
-        return [self.reference, *self.neighbors]
 
 
 # Rows parsed per block. A block bounds the reader's working memory whatever
@@ -143,19 +135,14 @@ def _parse_block(block: list[list[str]]):
 
 
 def _raise_first_fault(block: list[list[str]], first_line: int) -> None:
-    """Raise ParseError for the first faulty row of a block that failed to parse."""
+    """Raise ParseError for the first row of a failed block that ``_parse_block``
+    rejects on its own."""
     for line_no, row in enumerate(block, start=first_line):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
-        raw = row[2].strip()
         try:
-            value = float(raw)
+            _parse_block([row])
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ParseError(line_no, f"bad value {raw!r}")
+            raise ParseError(line_no, f"bad value {row[2].strip()!r}" if len(row) == 3
+                             else f"expected 3 fields, got {len(row)}") from None
 
 
 def _codes(fields: tuple[str, ...], code: dict[str, int]) -> np.ndarray:
@@ -173,32 +160,12 @@ def _labels(code: dict[str, int], codes: np.ndarray) -> tuple[tuple[str, ...], n
     return tuple(labels), np.array([index[s] for s in stripped], np.intp)[codes]
 
 
-def ingest(
-    path: str,
-    reference_region: str,
-    neighbor_regions: list[str],
-    period_filter: set[str] | None = None,
-) -> IngestResult:
-    """Partition file rows into reference and neighbor samples.
-
-    Rows with value <= 0 are dropped and counted per region; rows for regions
-    outside the requested set are ignored.
-    """
-    return _partition(*_read_rows(path), _regions(reference_region, neighbor_regions),
-                      period_filter)
-
-
-def _regions(reference_region: str, neighbor_regions: list[str]) -> list[str]:
-    wanted = [reference_region, *neighbor_regions]
-    if len(set(wanted)) != len(wanted):
-        raise ConfigError("reference and neighbor regions must be distinct")
-    return wanted
-
-
 def _partition(regions, periods, values: np.ndarray, wanted: list[str],
-               period_filter: Collection[str] | None) -> IngestResult:
-    """Samples for the regions in ``wanted`` (reference first) from the columns
-    ``_read_rows`` returns; a ``period_filter`` of None keeps every period."""
+               period_filter: Collection[str] | None) -> tuple[list[Sample], dict[str, int]]:
+    """The samples of the regions in ``wanted`` (reference first), as
+    ``validate`` takes them, from the columns ``_read_rows`` returns, and each
+    region's count of dropped rows (value <= 0). Rows of other regions are
+    ignored; a ``period_filter`` of None keeps every period."""
     region_labels, region_codes = regions
     period_labels, period_codes = periods
     index = {label: i for i, label in enumerate(region_labels)}
@@ -216,12 +183,8 @@ def _partition(regions, periods, values: np.ndarray, wanted: list[str],
             raise EmptyAfterFilter(rg)
         rejected[rg] = int(np.count_nonzero(rows)) - kept.size
         samples.append(kept)
-    return IngestResult(
-        reference=Sample.reference(wanted[0], samples[0]),
-        neighbors=tuple(Sample.neighbor(rg, v) for rg, v in zip(wanted[1:], samples[1:])),
-        rejected=rejected,
-        periods_seen=period_labels,
-    )
+    return [Sample.reference(wanted[0], samples[0]),
+            *(Sample.neighbor(rg, v) for rg, v in zip(wanted[1:], samples[1:]))], rejected
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +233,13 @@ def _resolve_periods(arg: str, available: tuple[str, ...]) -> list[str] | None:
     return requested
 
 
-def _resolve_tilts(arg: str, ing: IngestResult, alpha: float) -> list[TiltSpec]:
+def _resolve_tilts(arg: str, samples: list[Sample], alpha: float) -> list[TiltSpec]:
     mode = arg.strip()
     if mode == "global":
-        return [GLOBAL_TILT for _ in ing.neighbors]
+        return [GLOBAL_TILT] * (len(samples) - 1)
     if mode == "auto":
-        return inference.refine_tilts(ing.reference, list(ing.neighbors), alpha)
-    return parse_tilt_string(arg, len(ing.neighbors))
+        return inference.refine_tilts(samples[0], samples[1:], alpha)
+    return parse_tilt_string(arg, len(samples) - 1)
 
 
 def _check_alpha(args) -> None:
@@ -284,19 +247,29 @@ def _check_alpha(args) -> None:
         raise ConfigError(f"--alpha must be in (0, 1), got {args.alpha!r}")
 
 
-def _fit_from_args(args):
+def _read_args(args):
+    """The prologue of every data subcommand: check --alpha and that the
+    regions are distinct, read the file, and resolve --periods against it.
+    Returns the wanted regions (reference first), the file's columns and the
+    selected period labels (None for all)."""
     _check_alpha(args)
-    wanted = _regions(args.reference, _split_list(args.neighbors))
+    wanted = [args.reference, *_split_list(args.neighbors)]
+    if len(set(wanted)) != len(wanted):
+        raise ConfigError("reference and neighbor regions must be distinct")
     regions, periods, values = _read_rows(args.data)
-    ing = _partition(regions, periods, values, wanted, _resolve_periods(args.periods, periods[0]))
-    _report_rejections(ing)
-    tilts = _resolve_tilts(args.tilt, ing, args.alpha)
-    data = validate(ing.samples(), tilts)
-    return likelihood.fit(data), ing, tilts
+    return wanted, (regions, periods, values), _resolve_periods(args.periods, periods[0])
 
 
-def _report_rejections(ing: IngestResult) -> None:
-    dropped = {rg: k for rg, k in ing.rejected.items() if k}
+def _fit_from_args(args):
+    wanted, columns, selected = _read_args(args)
+    samples, rejected = _partition(*columns, wanted, selected)
+    _report_rejections(rejected)
+    tilts = _resolve_tilts(args.tilt, samples, args.alpha)
+    return likelihood.fit(validate(samples, tilts)), samples, tilts
+
+
+def _report_rejections(rejected: dict[str, int]) -> None:
+    dropped = {rg: k for rg, k in rejected.items() if k}
     if dropped:
         msg = ", ".join(f"{rg}: {k}" for rg, k in sorted(dropped.items()))
         print(f"# dropped non-positive rows ({msg})", file=sys.stderr)
@@ -315,7 +288,7 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    fitted, ing, tilts = _fit_from_args(args)
+    fitted, _, tilts = _fit_from_args(args)
     data = fitted.data
     theta = fitted.theta
     se = np.zeros(theta.size)   # a pinned alpha is reported with se 0
@@ -334,29 +307,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    _check_alpha(args)
-    neighbor_names = _split_list(args.neighbors)
-    wanted = _regions(args.reference, neighbor_names)
-    region_col, period_col, value = _read_rows(args.data)   # partitioned per period below
-    periods = _resolve_periods(args.periods, period_col[0]) or list(period_col[0])
+    wanted, columns, selected = _read_args(args)   # partitioned per period below
+    periods = selected or list(columns[1][0])      # else every period label in the file
     if not periods:   # no data rows, so no region has any
         raise UnknownRegion(wanted[0])
     # tilt strings contain commas, so rows are CSV-quoted
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["period", *neighbor_names])
+    writer.writerow(["period", *wanted[1:]])
 
-    def row(label: str, period_filter: set[str]) -> IngestResult:
-        ing = _partition(region_col, period_col, value, wanted, period_filter)
-        tilts = inference.refine_tilts(ing.reference, list(ing.neighbors), args.alpha)
+    def row(label: str, period_filter: set[str]) -> dict[str, int]:
+        samples, rejected = _partition(*columns, wanted, period_filter)
+        tilts = inference.refine_tilts(samples[0], samples[1:], args.alpha)
         writer.writerow([label, *(spec.format() for spec in tilts)])
-        return ing
+        return rejected
 
     for period in periods:
-        ing = row(period, {period})
+        rejected = row(period, {period})
     if len(periods) > 1:
-        ing = row("pooled", set(periods))
-    _report_rejections(ing)   # the last row spans every selected period
+        rejected = row("pooled", set(periods))
+    _report_rejections(rejected)   # the last row spans every selected period
     _emit(buf.getvalue().rstrip("\r\n").replace("\r\n", "\n"), args.out)
     return 0
 
@@ -369,9 +339,9 @@ def cmd_threshold(args) -> int:
     level = 1.0 - args.alpha
     if level == 1.0:
         raise ConfigError(f"--alpha {args.alpha!r} is too small: 1 - alpha rounds to 1")
-    fitted, ing, _ = _fit_from_args(args)
+    fitted, samples, _ = _fit_from_args(args)
     lines = ["method,T,prob,se,ci_low,ci_high,ci_low_clamped,ci_high_clamped"]
-    for method, source in (("drm", fitted), ("empirical", ing.reference)):
+    for method, source in (("drm", fitted), ("empirical", samples[0])):
         for est in inference.threshold_probability(source, thresholds, level):
             lo_c, hi_c = est.ci_clamped
             lines.append(
@@ -395,8 +365,6 @@ def cmd_gof(args) -> int:
 
 def cmd_simulate(args) -> int:
     sizes = tuple(_number("--sizes", s, int) for s in _split_list(args.sizes))
-    if len(sizes) != 3:
-        raise ConfigError("--sizes needs three comma-separated counts")
     g = _split_list(args.grid)
     if len(g) != 3:
         raise ConfigError("--grid needs M1,M2,J")

@@ -113,14 +113,15 @@ def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """A labeled vector of positive measurements (e.g. pCi/L)."""
+    """A labeled vector of positive measurements (e.g. pCi/L), held in a
+    read-only copy of the values given."""
 
     label: str
     values: np.ndarray
     role: Role
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        values = np.array(self.values, dtype=float, ndmin=1)
         if values.ndim != 1:
             raise InputError(f"sample {self.label!r}: values must be one-dimensional")
         if values.size == 0:

@@ -173,16 +173,18 @@ def fit(data: FusedData) -> FittedModel:
         iterations += 1
         polished += polishing
 
-    theta.flags.writeable = U.flags.writeable = False
     S = -H_full / n
+    weights, Sigma = fused_weights(logD, data), asymptotics.Sigma_matrix(S, data.rho)
+    for a in (theta, weights, S, Sigma, U):
+        a.flags.writeable = False
     return FittedModel(
         theta=theta,
-        weights=fused_weights(logD, data),
+        weights=weights,
         loglik=l,
         score_norm=float(np.max(np.abs(s_full))) if s_full.size else 0.0,
         iterations=iterations,
         S=S,
-        Sigma=asymptotics.Sigma_matrix(S, data.rho),
+        Sigma=Sigma,
         U=U,
         data=data,
     )

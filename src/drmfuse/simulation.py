@@ -65,6 +65,8 @@ class SimConfig:
             raise ArityMismatch(f"grid upper bound {m2!r} must exceed lower bound {m1!r}")
         if j < 1 or self.replications < 1:
             raise ArityMismatch("replications and grid size must be >= 1")
+        if len(self.sizes) != 3:
+            raise ArityMismatch(f"sizes must be three sample sizes, got {len(self.sizes)}")
         if any(n < 1 for n in self.sizes):
             raise ArityMismatch("sample sizes must be >= 1")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drmfuse import Sample, TiltSpec, validate
+from drmfuse import Sample, TiltSpec, cli, validate
 
 
 @pytest.fixture
@@ -24,3 +24,11 @@ def make_pair(rng, n0=200, n1=180, tilt="x", neighbor="gamma"):
     else:
         nb = Sample.neighbor("exp2", rng.exponential(0.5, n1))
     return validate([ref, nb], [TiltSpec.parse(tilt)])
+
+
+def cli_ingest(path, wanted, period_filter):
+    """The subcommands' read path, ``cli._read_rows`` then ``cli._partition``:
+    the samples (reference first), each region's count of dropped rows, and
+    the file's period labels."""
+    regions, periods, values = cli._read_rows(path)
+    return (*cli._partition(regions, periods, values, wanted, period_filter), periods[0])

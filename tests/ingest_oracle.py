@@ -5,8 +5,8 @@ region and period codes and a float column, and partitions the regions with
 boolean masks. This module keeps the plain route: a generator that checks
 and yields one ``(region, period, value)`` row at a time, and a partition
 that appends each usable value to its region's list. Tests compare the two
-for bit-identical samples, equal ``rejected`` counts and ``periods_seen``,
-or the same exception class, ``line_no`` and message.
+for bit-identical samples, equal ``rejected`` counts and period labels, or
+the same exception class, ``line_no`` and message.
 """
 
 import csv
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from drmfuse.cli import EmptyAfterFilter, IngestResult, ParseError, UnknownRegion
+from drmfuse.cli import EmptyAfterFilter, ParseError, UnknownRegion
 from drmfuse.core import Sample
 
 
@@ -42,7 +42,9 @@ def read_rows(path: str):
             yield region, period, value
 
 
-def partition(rows, wanted: list[str], period_filter: set[str] | None) -> IngestResult:
+def partition(rows, wanted: list[str], period_filter: set[str] | None):
+    """The samples (reference first), each region's count of dropped rows, and
+    the sorted labels of every period in the file."""
     values: dict[str, list[float]] = {rg: [] for rg in wanted}
     rejected: dict[str, int] = {rg: 0 for rg in wanted}
     seen_regions: set[str] = set()
@@ -63,13 +65,10 @@ def partition(rows, wanted: list[str], period_filter: set[str] | None) -> Ingest
             raise UnknownRegion(rg)
         if not values[rg]:
             raise EmptyAfterFilter(rg)
-    return IngestResult(
-        reference=Sample.reference(wanted[0], np.asarray(values[wanted[0]])),
-        neighbors=tuple(Sample.neighbor(rg, np.asarray(values[rg])) for rg in wanted[1:]),
-        rejected=rejected,
-        periods_seen=tuple(sorted(periods)),
-    )
+    samples = [Sample.reference(wanted[0], np.asarray(values[wanted[0]])),
+               *(Sample.neighbor(rg, np.asarray(values[rg])) for rg in wanted[1:])]
+    return samples, rejected, tuple(sorted(periods))
 
 
-def ingest(path: str, wanted: list[str], period_filter: set[str] | None) -> IngestResult:
+def ingest(path: str, wanted: list[str], period_filter: set[str] | None):
     return partition(read_rows(path), wanted, period_filter)

@@ -11,13 +11,13 @@ import pytest
 import drmfuse
 import drmfuse.cli as cli
 import ingest_oracle
+from conftest import cli_ingest
 from drmfuse import GLOBAL_TILT, TiltSpec, validate
 from drmfuse.cli import (
     ConfigError,
     EmptyAfterFilter,
     ParseError,
     UnknownRegion,
-    ingest,
     main,
     parse_tilt_string,
 )
@@ -48,24 +48,22 @@ def radon_csv(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ingest
+# ingest: the subcommands' read path, _read_rows then _partition
 # ---------------------------------------------------------------------------
 
 def test_ingest_partitions_and_counts(radon_csv):
-    res = ingest(radon_csv, "Beaver", ["Butler", "Allegheny"], None)
-    assert res.reference.n == 500
-    assert res.neighbors[0].n == 400
-    assert res.neighbors[1].n == 600
-    assert res.rejected == {"Beaver": 2, "Butler": 0, "Allegheny": 0}
-    assert res.periods_seen == ("89-93", "94-98")
+    samples, rejected, periods = cli_ingest(radon_csv, ["Beaver", "Butler", "Allegheny"], None)
+    assert [s.n for s in samples] == [500, 400, 600]
+    assert rejected == {"Beaver": 2, "Butler": 0, "Allegheny": 0}
+    assert periods == ("89-93", "94-98")
 
 
 def test_ingest_small_fixture_sizes(tmp_path):
     rows = [["Beaver", "p", "1.0"]] * 3 + [["Butler", "p", "2.0"]] * 2
     path = tmp_path / "f.csv"
     write_csv(path, rows)
-    res = ingest(str(path), "Beaver", ["Butler"], None)
-    data = validate(res.samples(), [TiltSpec.parse("x")])
+    samples, _, _ = cli_ingest(str(path), ["Beaver", "Butler"], None)
+    data = validate(samples, [TiltSpec.parse("x")])
     assert data.n0 == 3 and data.n == 5
 
 
@@ -80,45 +78,43 @@ def test_ingest_five_region_fixture(tmp_path):
             rows.append([region, "89-93", repr(float(v))])
     path = tmp_path / "t2.csv"
     write_csv(path, rows)
-    res = ingest(str(path), "Beaver", ["Washington", "Allegheny", "Butler", "Lawrence"],
-                 {"89-93"})
-    data = validate(res.samples(), [GLOBAL_TILT] * 4)
+    samples, _, _ = cli_ingest(str(path), list(sizes), {"89-93"})
+    data = validate(samples, [GLOBAL_TILT] * 4)
     assert data.n0 == 816
     assert np.allclose(data.rho, [1, 471 / 816, 12328 / 816, 985 / 816, 231 / 816])
 
 
 def test_ingest_period_filter(radon_csv):
-    res = ingest(radon_csv, "Beaver", ["Butler"], {"89-93"})
-    assert res.reference.n == 250
-    assert res.neighbors[0].n == 200
+    samples, _, _ = cli_ingest(radon_csv, ["Beaver", "Butler"], {"89-93"})
+    assert [s.n for s in samples] == [250, 200]
 
 
 def test_ingest_unknown_region(radon_csv):
     with pytest.raises(UnknownRegion):
-        ingest(radon_csv, "Beaver", ["Nowhere"], None)
+        cli_ingest(radon_csv, ["Beaver", "Nowhere"], None)
 
 
 def test_ingest_empty_after_filter(radon_csv):
     with pytest.raises(EmptyAfterFilter):
-        ingest(radon_csv, "Beaver", ["Butler"], {"99-03"})
+        cli_ingest(radon_csv, ["Beaver", "Butler"], {"99-03"})
 
 
 def test_ingest_parse_errors(tmp_path):
     bad_header = tmp_path / "bad1.csv"
     bad_header.write_text("a,b,c\n")
     with pytest.raises(ParseError):
-        ingest(str(bad_header), "x", [], None)
+        cli_ingest(str(bad_header), ["x"], None)
 
     bad_value = tmp_path / "bad2.csv"
     bad_value.write_text("region,period,value\nBeaver,p,notanumber\n")
     with pytest.raises(ParseError) as exc:
-        ingest(str(bad_value), "Beaver", [], None)
+        cli_ingest(str(bad_value), ["Beaver"], None)
     assert exc.value.line_no == 2
 
     bad_arity = tmp_path / "bad3.csv"
     bad_arity.write_text("region,period,value\nBeaver,p\n")
     with pytest.raises(ParseError):
-        ingest(str(bad_arity), "Beaver", [], None)
+        cli_ingest(str(bad_arity), ["Beaver"], None)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -126,7 +122,7 @@ def test_non_finite_value_is_a_parse_error(tmp_path, capsys, raw):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"region,period,value\nBeaver,p,2.0\nButler,p,1.5\nBeaver,p,{raw}\n")
     with pytest.raises(ParseError) as exc:
-        ingest(str(path), "Beaver", ["Butler"], None)
+        cli_ingest(str(path), ["Beaver", "Butler"], None)
     assert exc.value.line_no == 4
     assert main(["fit", str(path), "--reference", "Beaver", "--neighbors", "Butler"]) == 2
     assert "line 4" in capsys.readouterr().err
@@ -138,16 +134,16 @@ def test_fault_in_second_block_names_its_line(tmp_path):
             for i, v in enumerate(rng.lognormal(1.0, 0.8, 2 * cli._BLOCK_ROWS))]
     path = tmp_path / "blocks.csv"
     write_csv(path, rows)
-    res = ingest(str(path), "Beaver", ["Butler"], None)
-    want = ingest_oracle.ingest(str(path), ["Beaver", "Butler"], None)
-    assert res.reference.values.tobytes() == want.reference.values.tobytes()
-    assert res.neighbors[0].values.tobytes() == want.neighbors[0].values.tobytes()
+    samples, _, _ = cli_ingest(str(path), ["Beaver", "Butler"], None)
+    want, _, _ = ingest_oracle.ingest(str(path), ["Beaver", "Butler"], None)
+    for got, oracle in zip(samples, want, strict=True):
+        assert got.values.tobytes() == oracle.values.tobytes()
     # a faulty row in the second block, then an ignored region's inf after it
     bad = cli._BLOCK_ROWS + 200
     rows[bad - 2] = ["Beaver", "p", " 1.5x "]
     rows[bad + 100] = ["Elsewhere", "p", "inf"]
     write_csv(path, rows)
-    for read in (lambda: ingest(str(path), "Beaver", ["Butler"], None),
+    for read in (lambda: cli_ingest(str(path), ["Beaver", "Butler"], None),
                  lambda: ingest_oracle.ingest(str(path), ["Beaver", "Butler"], None)):
         with pytest.raises(ParseError) as exc:
             read()
@@ -158,11 +154,11 @@ def test_fault_in_second_block_names_its_line(tmp_path):
 def test_utf8_bom_is_ignored(tmp_path, radon_csv, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes("\ufeff".encode() + Path(radon_csv).read_bytes())
-    plain = ingest(radon_csv, "Beaver", ["Butler", "Allegheny"], None)
-    bom = ingest(str(path), "Beaver", ["Butler", "Allegheny"], None)
-    for a, b in zip(plain.samples(), bom.samples()):
+    plain = cli_ingest(radon_csv, ["Beaver", "Butler", "Allegheny"], None)
+    bom = cli_ingest(str(path), ["Beaver", "Butler", "Allegheny"], None)
+    for a, b in zip(plain[0], bom[0], strict=True):
         assert a.label == b.label and a.values.tobytes() == b.values.tobytes()
-    assert (bom.rejected, bom.periods_seen) == (plain.rejected, plain.periods_seen)
+    assert bom[1:] == plain[1:]
     assert main(["fit", *_flags(str(path), "--tilt", "global")]) == 0
 
 
@@ -390,6 +386,15 @@ def test_exit_code_2_on_unreadable_file(tmp_path, capsys, command):
 
 def test_exit_code_2_on_unknown_region(radon_csv, capsys):
     assert main(["fit", *_flags(radon_csv)[:-1], "Nowhere"]) == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "refine", "threshold", "gof"])
+@pytest.mark.parametrize("neighbors", ["Beaver", "Butler,Beaver", "Butler,Butler"])
+def test_regions_must_be_distinct(radon_csv, capsys, command, neighbors):
+    argv = [command, radon_csv, "--reference", "Beaver", "--neighbors", neighbors]
+    assert main(argv) == 4
+    assert capsys.readouterr() == (
+        "", "drmfuse: config error: reference and neighbor regions must be distinct\n")
 
 
 def test_exit_code_4_on_bad_tilt(radon_csv, capsys):

@@ -108,6 +108,14 @@ def test_core_arrays_are_immutable():
         data.t[0] = 9.0
 
 
+def test_sample_copies_the_callers_array():
+    a = np.array([1.0, 2.0, 3.0])
+    s = Sample.reference("r", a)
+    assert a.flags.writeable and not np.shares_memory(a, s.values)
+    a[0] = 5.0
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_public_names_resolve():
     import drmfuse
     missing = [name for name in drmfuse.__all__ if not hasattr(drmfuse, name)]

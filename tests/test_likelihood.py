@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -432,6 +433,16 @@ def test_fit_empty_tilt_pins_alpha(rng):
     assert beta.size == 0
     assert not model.theta.flags.writeable
     assert abs(model.weights.sum() - 1.0) < 1e-10
+
+
+def test_fitted_model_and_fused_data_arrays_are_read_only(rng):
+    data = make_pair(rng, tilt="x,logx")
+    model = fit(data)
+    arrays = {f"{type(obj).__name__}.{f.name}": getattr(obj, f.name)
+              for obj in (model, data) for f in dataclasses.fields(obj)
+              if isinstance(getattr(obj, f.name), np.ndarray)}
+    assert len(arrays) == 12
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
 
 def test_fit_degenerate_tilt_raises():

@@ -82,6 +82,9 @@ def test_simconfig_validation():
         SimConfig(grid=(5.0, 1.0, 100))
     with pytest.raises(ArityMismatch):
         SimConfig(replications=0)
+    for sizes in ((1000, 1000), (1000, 1000, 1000, 1000)):
+        with pytest.raises(ArityMismatch):
+            SimConfig(sizes=sizes)
 
 
 def test_run_comparison_smoke_single_replicate():
