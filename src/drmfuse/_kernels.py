@@ -54,13 +54,14 @@ def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np
     return logD, E
 
 
-def tilt_design(U: np.ndarray, data: FusedData) -> np.ndarray:
-    """Psi = U[:, nbr] * X[:, col], shape (n, m + r).
+def tilt_design(U: np.ndarray, data: FusedData, out: np.ndarray | None = None) -> np.ndarray:
+    """Psi = U[:, nbr] * X[:, col], shape (n, m + r), written into ``out`` if
+    given.
 
     ``U[:, k] = rho_k w_k / D``; column j is neighbor nbr[j]'s ratio times
     its column col[j] of X, so the first m columns are U itself.
     """
-    Psi = np.empty((data.n, data.nbr.size), order="F")
+    Psi = np.empty((data.n, data.nbr.size), order="F") if out is None else out
     for j, (k, c) in enumerate(zip(data.nbr, data.col)):
         np.multiply(U[:, k], data.X[:, c], out=Psi[:, j])   # no (n, m + r) temporaries
     return Psi

@@ -69,10 +69,11 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
     data = fit.data
     m = data.m
     # Column 0 holds p_i, the G integrand; columns 1: hold p_i Psi_i, the
-    # rho_k A_k and rho_k B_k integrands at t_i
+    # rho_k A_k and rho_k B_k integrands at t_i, built from the p-weighted
+    # ratios in one (n, m + r) pass
     W = np.empty((data.n, 1 + m + data.r), order="F")
     W[:, 0] = fit.weights
-    np.multiply(tilt_design(fit.U, data), fit.weights[:, None], out=W[:, 1:])
+    tilt_design(np.multiply(fit.U, fit.weights[:, None], order="F"), data, out=W[:, 1:])
     at = at_or_below(data.t, T, W)
     G, a = at[:, 0], at[:, 1:]
     Sinv = _sym_inverse(fit.S, "S")

@@ -105,10 +105,34 @@ def _check_degenerate(data: FusedData):
         )
 
 
-def fit(data: FusedData) -> FittedModel:
+def _start_theta(start: FittedModel, data: FusedData) -> np.ndarray:
+    """``start.theta`` embedded in ``data``'s layout by ``(nbr, col)``, 0
+    elsewhere; ArityMismatch unless ``start`` was fitted on the same Sample
+    objects and each of its coordinates appears in ``data``'s layout."""
+    fitted = start.data
+    if fitted.reference is not data.reference or fitted.m != data.m or any(
+            a is not b for (a, _), (b, _) in zip(fitted.neighbors, data.neighbors)):
+        raise ArityMismatch("the start was fitted on other samples than the fused data")
+    # flat index in data's layout of each (neighbor, column of X), -1 if absent
+    index = np.full(4 * data.m, -1)
+    index[4 * data.nbr + data.col] = np.arange(data.nbr.size)
+    at = index[4 * fitted.nbr + fitted.col]
+    if (at < 0).any():
+        raise ArityMismatch("the start's tilt is not contained in the fused data's tilt")
+    theta = np.zeros(data.m + data.r)
+    theta[at] = start.theta
+    return theta
+
+
+def fit(data: FusedData, start: FittedModel | None = None) -> FittedModel:
     """Maximize the profile log-likelihood; returns the fitted model.
 
-    One damped Newton loop on the flat theta, with no options. Only the
+    One damped Newton loop on the flat theta. It begins at 0, or with
+    ``start`` at that model's theta: ``start`` must be fitted on the same
+    Sample objects with each neighbor's tilt contained in its tilt here
+    (else ArityMismatch), so its theta is a point of this model, embedded
+    with 0 on the extra coordinates. The loop and its stopping rule are the
+    same either way, so both reach the same maximizer. Only the
     ``free`` coordinates move; the others stay pinned at 0. Each candidate
     costs one pass over the tilt exponents; score and Hessian are derived from
     it only when it can be accepted. While the score exceeds ``_GRAD_TOL * n``
@@ -129,7 +153,7 @@ def fit(data: FusedData) -> FittedModel:
     _check_degenerate(data)
     n, free = data.n, data.free
     sub = np.ix_(free, free)
-    theta = np.zeros(data.m + data.r)
+    theta = np.zeros(data.m + data.r) if start is None else _start_theta(start, data)
     l, logD, U = _loglik_parts(theta, data)
     s_full, H_full = _score_hessian(U, data)
     s, H = s_full[free], H_full[sub]

@@ -296,8 +296,7 @@ def test_cdf_and_simulation_paths_sort_no_records(monkeypatch):
 
     def outputs():
         return (drm_cdf(model, T).tobytes(),
-                [simulation._replicate_errors(samples, name, grid)
-                 for name in simulation.ESTIMATORS])
+                simulation._replicate_errors(samples, grid))
 
     expected = outputs()
     limit = samples[0].n

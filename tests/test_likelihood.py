@@ -369,6 +369,59 @@ def test_fit_matches_two_loop_oracle():
         assert model.U.tobytes() == U.tobytes(), name
 
 
+def test_fit_from_a_nested_start_reaches_the_same_maximizer():
+    # the refined tilts are subsets of the global tilt, so the refined MLE is
+    # a point of the uniform model; started there, the uniform fit returns
+    # the cold fit's maximizer in fewer iterations
+    samples = list(generate(3, (1000, 1000, 1000)))
+    refined = fit(validate(samples, list(REFINED_TILTS)))
+    du = validate(samples, list(UNIFORM_TILTS))
+    cold, warm = fit(du), fit(du, start=refined)
+    assert warm.iterations < cold.iterations
+    assert warm.loglik >= profile_loglik(np.zeros(du.m + du.r), du)
+    for field in ("theta", "S", "Sigma", "weights"):
+        want, got = getattr(cold, field), getattr(warm, field)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
+    assert warm.loglik == pytest.approx(cold.loglik, rel=1e-10)
+    # a start that is the maximizer itself: 0 lies in every model, so start=cold
+    # and a start from the empty-tilt model also land there
+    assert np.allclose(fit(du, start=cold).theta, cold.theta, rtol=1e-10, atol=0.0)
+    empty = fit(validate(samples, [TiltSpec(()), TiltSpec(())]))
+    assert np.allclose(fit(du, start=empty).theta, cold.theta, rtol=1e-10, atol=0.0)
+
+
+def test_fit_start_embeds_by_neighbor_and_column():
+    # the start's coordinates land at the same (neighbor, column) of the
+    # larger layout, whatever their order in each tilt; the rest start at 0
+    samples = list(generate(5, (300, 300, 300)))
+    start = fit(validate(samples, [TiltSpec.parse("log2x,x"), TiltSpec(())]))
+    data = validate(samples, [TiltSpec.parse("logx,x,log2x"), TiltSpec.parse("x")])
+    theta = likelihood._start_theta(start, data)
+    by_coordinate = dict(zip(zip(data.nbr.tolist(), data.col.tolist()), theta.tolist()))
+    for k, c, value in zip(start.data.nbr.tolist(), start.data.col.tolist(),
+                           start.theta.tolist()):
+        assert by_coordinate.pop((k, c)) == value
+    assert set(by_coordinate.values()) == {0.0}
+
+
+def test_fit_start_must_be_nested_in_the_same_samples():
+    samples = list(generate(4, (200, 200, 200)))
+    uniform = fit(validate(samples, list(UNIFORM_TILTS)))
+    refined_data = validate(samples, list(REFINED_TILTS))
+    with pytest.raises(ArityMismatch, match="not contained"):
+        fit(refined_data, start=uniform)
+    # equal values in other Sample objects are other samples
+    copies = [type(s)(s.label, s.values, s.role) for s in samples]
+    with pytest.raises(ArityMismatch, match="other samples"):
+        fit(validate(copies, list(UNIFORM_TILTS)), start=fit(refined_data))
+    # the same samples in another order, or fewer of them, are not the same data
+    with pytest.raises(ArityMismatch, match="other samples"):
+        fit(validate([samples[0], samples[2], samples[1]], list(UNIFORM_TILTS)),
+            start=fit(refined_data))
+    with pytest.raises(ArityMismatch, match="other samples"):
+        fit(validate(samples[:2], [GLOBAL_TILT]), start=fit(refined_data))
+
+
 def test_fit_evaluates_the_exponents_once_per_candidate(rng, monkeypatch):
     # one pass over the tilt exponents per Newton candidate (this fixture
     # needs no step halving), none to rederive an accepted iterate or the weights

@@ -80,6 +80,9 @@ def test_empirical_miae_magnitude():
 def test_simconfig_validation():
     with pytest.raises(ArityMismatch):
         SimConfig(grid=(5.0, 1.0, 100))
+    for grid in ((0.0, 10.0), (0.0, 10.0, 100, 1)):
+        with pytest.raises(ArityMismatch):
+            SimConfig(grid=grid)
     with pytest.raises(ArityMismatch):
         SimConfig(replications=0)
     for sizes in ((1000, 1000), (1000, 1000, 1000, 1000)):
@@ -120,10 +123,47 @@ def test_mise_decreases_when_n_doubles():
         assert row_b.mise < row_s.mise
 
 
+def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
+    # each replicate's uniform fit is started at the refined model fitted on
+    # the same samples, and the table matches cold starts of both fits
+    cfg = SimConfig(replications=6, sizes=(300, 300, 300), seed=11)
+    real_fit = simulation.likelihood.fit
+    calls = []
+
+    def spy(data, start=None):
+        model = real_fit(data, start=start)
+        calls.append((data, start, model))
+        return model
+
+    monkeypatch.setattr(simulation.likelihood, "fit", spy)
+    warm = run_comparison(cfg)
+    assert len(calls) == 2 * cfg.replications
+    warm_iterations = cold_iterations = 0
+    for (refined_data, no_start, refined), (uniform_data, start, uniform) in zip(
+            calls[::2], calls[1::2]):
+        assert no_start is None and start is refined
+        assert [spec for _, spec in refined_data.neighbors] == list(simulation.REFINED_TILTS)
+        assert [spec for _, spec in uniform_data.neighbors] == list(simulation.UNIFORM_TILTS)
+        warm_iterations += uniform.iterations
+        cold_iterations += real_fit(uniform_data).iterations
+    assert warm_iterations < cold_iterations
+
+    monkeypatch.setattr(simulation.likelihood, "fit", lambda data, start=None: real_fit(data))
+    cold = run_comparison(cfg)
+    assert (warm.replications_used, warm.failures) == (cold.replications_used, cold.failures)
+    for name in ESTIMATORS:
+        assert np.allclose(warm.per_replicate[name], cold.per_replicate[name],
+                           rtol=1e-10, atol=0.0), name
+    for row_w, row_c in zip(warm.rows, cold.rows):
+        assert row_w.estimator == row_c.estimator
+        for metric in ("miae", "miae_se", "mise", "mise_se"):
+            assert getattr(row_w, metric) == pytest.approx(getattr(row_c, metric), rel=1e-10)
+
+
 def test_run_comparison_counts_and_aborts_on_failures(monkeypatch):
     calls = {"k": 0}
 
-    def exploding_fit(data, opts=None):
+    def exploding_fit(data, start=None):
         calls["k"] += 1
         raise NoConvergence(5, 1.0)
 
