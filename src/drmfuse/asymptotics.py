@@ -60,12 +60,15 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
     """(G(t), plug-in sigma(t)) at each threshold of the 1-d array ``T``.
 
     Both are piecewise constant between adjacent fused points; negative sigma
-    values are clamped to zero. G and the partial sums behind A and B are the
-    sums of their integrands over the fused points at or below each
-    threshold, binned on the thresholds by ``at_or_below`` with the fit's
-    ratios ``U``: O(n log K) for K thresholds, without sorting the fused
-    points, and one quadratic form in S^{-1} per threshold. A NaN threshold
-    is an InputError and a T that is not 1-d an ArityMismatch."""
+    values are clamped to zero. At or above the largest fused point G sums
+    all the mass, which has no variance, so sigma there is exactly 0 rather
+    than the rounding residue of the formula's cancelling terms. G and the
+    partial sums behind A and B are the sums of their integrands over the
+    fused points at or below each threshold, binned on the thresholds by
+    ``at_or_below`` with the fit's ratios ``U``: O(n log K) for K
+    thresholds, without sorting the fused points, and one quadratic form in
+    S^{-1} per threshold. A NaN threshold is an InputError and a T that is
+    not 1-d an ArityMismatch."""
     data = fit.data
     m = data.m
     # Column 0 holds p_i, the G integrand; columns 1: hold p_i Psi_i, the
@@ -81,4 +84,5 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
              + ((a @ Sinv) * a).sum(axis=1))
     if not np.isfinite(value).all():
         raise NonFinite("sigma(t)")
-    return G, np.where(value < 0.0, 0.0, value)
+    top = np.asarray(T, dtype=float) >= data.t.max()
+    return G, np.where((value < 0.0) | top, 0.0, value)

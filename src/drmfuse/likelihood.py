@@ -24,6 +24,7 @@ from .core import (
     FittedModel,
     FusedData,
     GLOBAL_TILT,
+    InputError,
     NoConvergence,
     NonFinite,
     SingularHessian,
@@ -124,20 +125,36 @@ def _start_theta(start: FittedModel, data: FusedData) -> np.ndarray:
     return theta
 
 
-def fit(data: FusedData, start: FittedModel | None = None) -> FittedModel:
+def _initial_theta(start, data: FusedData) -> np.ndarray:
+    """A fresh flat theta to start ``fit`` at: 0, a model's embedded theta, or
+    a copy of a checked, finite flat theta."""
+    if start is None:
+        return np.zeros(data.m + data.r)
+    if isinstance(start, FittedModel):
+        return _start_theta(start, data)
+    theta = _check_theta(start, data).copy()
+    if not np.isfinite(theta).all():
+        raise InputError("the start theta has a non-finite entry")
+    return theta
+
+
+def fit(data: FusedData, start: FittedModel | np.ndarray | None = None) -> FittedModel:
     """Maximize the profile log-likelihood; returns the fitted model.
 
-    One damped Newton loop on the flat theta. It begins at 0, or with
-    ``start`` at that model's theta: ``start`` must be fitted on the same
-    Sample objects with each neighbor's tilt contained in its tilt here
-    (else ArityMismatch), so its theta is a point of this model, embedded
-    with 0 on the extra coordinates. The loop and its stopping rule are the
-    same either way, so both reach the same maximizer. Only the
-    ``free`` coordinates move; the others stay pinned at 0. Each candidate
-    costs one pass over the tilt exponents; score and Hessian are derived from
-    it only when it can be accepted. While the score exceeds ``_GRAD_TOL * n``
-    the loop ascends: it halves the step until l rises or the score shrinks,
-    falling back to steepest ascent when the Newton direction is unusable.
+    One damped Newton loop on the flat theta. It begins at 0, or at
+    ``start``. A FittedModel start must be fitted on the same Sample objects
+    with each neighbor's tilt contained in its tilt here (else
+    ArityMismatch), so its theta is a point of this model, embedded with 0
+    on the extra coordinates. An array start is a flat theta in ``data``'s
+    layout, checked like ``profile_loglik``'s (ArityMismatch) and finite
+    (else InputError); the loop works on a copy. The loop and its stopping
+    rule are the same from any start, and l is concave, so every start
+    reaches the same maximizer. Only the ``free`` coordinates move; the
+    others stay pinned at 0. Each candidate costs one pass over the tilt
+    exponents; score and Hessian are derived from it only when it can be
+    accepted. While the score exceeds ``_GRAD_TOL * n`` the loop ascends: it
+    halves the step until l rises or the score shrinks, falling back to
+    steepest ascent when the Newton direction is unusable.
     Below that it polishes: at most five full Newton steps, each kept only if
     it shrinks the score, so the weight and moment constraints hold well
     inside their tolerances; a polish step that fails ends the fit.
@@ -153,7 +170,7 @@ def fit(data: FusedData, start: FittedModel | None = None) -> FittedModel:
     _check_degenerate(data)
     n, free = data.n, data.free
     sub = np.ix_(free, free)
-    theta = np.zeros(data.m + data.r) if start is None else _start_theta(start, data)
+    theta = _initial_theta(start, data)
     l, logD, U = _loglik_parts(theta, data)
     s_full, H_full = _score_hessian(U, data)
     s, H = s_full[free], H_full[sub]

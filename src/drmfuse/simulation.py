@@ -6,12 +6,16 @@ and Lognormal(log-mean 1, log-sd 1), giving the exact density ratios
     g1/g0 = exp(log 2 + log x)
     g2/g0 = exp(-1/2 - log(2 sqrt(2 pi)) + 2 x - (1/2) log^2 x)
 
-so the refined tilts are (log x) and (x, log^2 x). Both are subsets of the
-global tilt, so each replicate fits the refined model first and starts the
-uniform fit at its MLE, a point of the uniform model. Errors are integrated CDF
-errors over a regular grid: one replicate contributes
-delta * sum_j |Fhat(M1 + j delta) - F(M1 + j delta)| (and its square), and the
-harness averages over replicates.
+so the refined tilts are (log x) and (x, log^2 x), and the refined model's
+true flat theta is ``REFINED_TRUTH``. Each replicate fits the refined model
+from that truth. Both refined tilts are subsets of the global tilt, so the
+uniform fit then starts at the refined MLE, a point of the uniform model.
+The profile log-likelihood is concave, so neither start changes the
+maximizer, only the Newton path to it. Both fits share the replicate's fused
+points, so the uniform, refined and empirical CDFs come from one binning of
+them. Errors are integrated CDF errors over a regular grid: one replicate
+contributes delta * sum_j |Fhat(M1 + j delta) - F(M1 + j delta)| (and its
+square), and the harness averages over replicates.
 
 Seeding: replicate i draws from numpy's default generator seeded with
 SeedSequence(seed, spawn_key=(i,)), sampling the reference, gamma and
@@ -21,11 +25,13 @@ seeds give bit-identical tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import inference, likelihood
+from . import likelihood
+from ._kernels import at_or_below
 from .core import (
     ArityMismatch,
     Basis,
@@ -41,6 +47,16 @@ REFINED_TILTS = (
     TiltSpec((Basis.IDENTITY, Basis.LOGSQ)),
 )
 UNIFORM_TILTS = (GLOBAL_TILT, GLOBAL_TILT)
+# the true log density ratios above in the refined layout (alpha_1, alpha_2,
+# then the betas of log x, and of x and log^2 x)
+REFINED_TRUTH = np.array([
+    np.log(2.0),
+    -0.5 - np.log(2.0 * np.sqrt(2.0 * np.pi)),
+    1.0,
+    2.0,
+    -0.5,
+])
+REFINED_TRUTH.flags.writeable = False
 
 ESTIMATORS = ("uniform", "refined", "empirical")
 
@@ -67,12 +83,21 @@ class SimConfig:
         m1, m2, j = self.grid
         if not m2 > m1:
             raise ArityMismatch(f"grid upper bound {m2!r} must exceed lower bound {m1!r}")
-        if j < 1 or self.replications < 1:
+        if _count(j, "grid size") < 1 or _count(self.replications, "replications") < 1:
             raise ArityMismatch("replications and grid size must be >= 1")
         if len(self.sizes) != 3:
             raise ArityMismatch(f"sizes must be three sample sizes, got {len(self.sizes)}")
-        if any(n < 1 for n in self.sizes):
+        if any(_count(n, "sample size") < 1 for n in self.sizes):
             raise ArityMismatch("sample sizes must be >= 1")
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an int if it is an integer (``operator.index``, so numpy
+    ints pass), else ArityMismatch."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ArityMismatch(f"{what} must be an integer, got {value!r}") from None
 
 
 def exp2_cdf(x):
@@ -96,19 +121,25 @@ def generate(seed, sizes: tuple[int, int, int]) -> tuple[Sample, Sample, Sample]
     )
 
 
-def miae_mise(estimate, truth, grid: tuple[float, float, int]) -> tuple[float, float]:
+def miae_mise(estimate, truth, grid: tuple[float, float, int]):
     """Single-replicate integrated absolute and squared CDF error.
 
     ``estimate`` and ``truth`` are callables on the 1-d array of evaluation
-    points M1 + j*delta for j = 1..J.
+    points M1 + j*delta for j = 1..J. ``truth`` returns J values. ``estimate``
+    returns J values, giving a pair of floats, or a (J, c) array with one
+    column per estimator, giving a pair of length-c arrays; each column's
+    errors are summed exactly as a 1-d estimate's.
     """
     m1, m2, j = grid
-    if not (m2 > m1 and j >= 1):
+    if not (m2 > m1 and _count(j, "grid size") >= 1):
         raise ArityMismatch("invalid grid")
     delta = (m2 - m1) / j
     xs = m1 + delta * np.arange(1, j + 1)
-    diff = np.asarray(estimate(xs), dtype=float) - np.asarray(truth(xs), dtype=float)
-    return float(delta * np.abs(diff).sum()), float(delta * (diff * diff).sum())
+    estimates = np.asarray(estimate(xs), dtype=float)
+    # one contiguous row per estimator, so each sum adds in the 1-d order
+    diff = np.ascontiguousarray(estimates.T) - np.asarray(truth(xs), dtype=float)
+    iae, ise = delta * np.abs(diff).sum(axis=-1), delta * (diff * diff).sum(axis=-1)
+    return (float(iae), float(ise)) if estimates.ndim < 2 else (iae, ise)
 
 
 @dataclass(frozen=True)
@@ -153,15 +184,34 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
+def _replicate_cdfs(uniform, refined, x) -> np.ndarray:
+    """The uniform, refined and empirical CDF estimates at each point of the
+    1-d ``x``, one column each in the order of ``ESTIMATORS``, from one
+    binning of the fused points that both fits share.
+
+    Each column is bitwise ``drm_cdf(uniform, x)``, ``drm_cdf(refined, x)``
+    and ``empirical_cdf(reference, x)``: the empirical column sums 1.0 over
+    the reference rows, which come first, and is divided by n0."""
+    data = refined.data
+    W = np.zeros((data.n, 3), order="F")
+    W[:, 0] = uniform.weights
+    W[:, 1] = refined.weights
+    W[:data.n0, 2] = 1.0
+    cdfs = at_or_below(data.t, x, W)
+    cdfs[:, 2] /= data.n0
+    return cdfs
+
+
 def _replicate_errors(samples, grid) -> dict[str, tuple[float, float]]:
-    """One replicate's (IAE, ISE) for each estimator, keyed as ``ESTIMATORS``;
-    the uniform fit starts at the refined MLE."""
-    refined = likelihood.fit(validate(list(samples), list(REFINED_TILTS)))
+    """One replicate's (IAE, ISE) for each estimator, keyed as ``ESTIMATORS``.
+
+    The refined fit starts at ``REFINED_TRUTH`` and the uniform fit at the
+    refined MLE, which also makes both fits share the same Sample objects and
+    so the same fused points."""
+    refined = likelihood.fit(validate(list(samples), list(REFINED_TILTS)), start=REFINED_TRUTH)
     uniform = likelihood.fit(validate(list(samples), list(UNIFORM_TILTS)), start=refined)
-    cdfs = {"uniform": lambda x: inference.drm_cdf(uniform, x),
-            "refined": lambda x: inference.drm_cdf(refined, x),
-            "empirical": lambda x: inference.empirical_cdf(samples[0], x)}
-    return {name: miae_mise(cdfs[name], exp2_cdf, grid) for name in ESTIMATORS}
+    iae, ise = miae_mise(lambda x: _replicate_cdfs(uniform, refined, x), exp2_cdf, grid)
+    return {name: (float(iae[k]), float(ise[k])) for k, name in enumerate(ESTIMATORS)}
 
 
 def run_comparison(cfg: SimConfig) -> ComparisonTable:

@@ -157,6 +157,24 @@ def test_sigma_t_boundaries(rng):
     assert np.isfinite(above) and above >= 0.0
 
 
+def test_sigma_t_is_exactly_zero_at_and_above_the_largest_fused_point():
+    # G sums all the mass there, which has no variance; the formula's
+    # cancelling terms leave a ~1e-14 residue, so the se would read ~1e-9.
+    # The reference's 0.99 quantile, the top of the bench's thresholds, keeps
+    # its positive sigma
+    for seed in (0, 2):
+        samples = simulation.generate(seed, (1000, 1000, 1000))
+        for tilts in (simulation.UNIFORM_TILTS, simulation.REFINED_TILTS):
+            model = fit(validate(list(samples), list(tilts)))
+            top = model.data.t.max()
+            T = np.array([top, 2.0 * top, np.inf, np.quantile(samples[0].values, 0.99)])
+            G, sigma = sigma_t(model, T)
+            assert sigma[:3].tolist() == [0.0, 0.0, 0.0]
+            assert sigma[3] > 1e-3
+            assert G.tobytes() == drm_cdf(model, T).tobytes()
+            assert [e.se for e in threshold_probability(model, T[:3])] == [0.0, 0.0, 0.0]
+
+
 def test_sigma_t_piecewise_constant(rng):
     model = fit(make_fused(rng, sizes=(80, 70, 60)))
     pts = np.sort(np.unique(model.data.t))[:12]

@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from drmfuse import (
     ArityMismatch,
     GLOBAL_TILT,
+    InputError,
     NoConvergence,
     NonFinite,
     Sample,
@@ -22,7 +23,7 @@ from drmfuse import (
 )
 from drmfuse.core import basis_matrix
 from drmfuse import _kernels, likelihood
-from drmfuse.simulation import REFINED_TILTS, UNIFORM_TILTS, generate
+from drmfuse.simulation import REFINED_TILTS, REFINED_TRUTH, UNIFORM_TILTS, generate
 
 import blocks_oracle
 import newton_oracle
@@ -372,17 +373,20 @@ def test_fit_matches_two_loop_oracle():
 def test_fit_from_a_nested_start_reaches_the_same_maximizer():
     # the refined tilts are subsets of the global tilt, so the refined MLE is
     # a point of the uniform model; started there, the uniform fit returns
-    # the cold fit's maximizer in fewer iterations
+    # the cold fit's maximizer in fewer iterations. So does the refined fit
+    # started at the true theta of the generator
     samples = list(generate(3, (1000, 1000, 1000)))
-    refined = fit(validate(samples, list(REFINED_TILTS)))
+    dr = validate(samples, list(REFINED_TILTS))
+    refined = fit(dr)
     du = validate(samples, list(UNIFORM_TILTS))
-    cold, warm = fit(du), fit(du, start=refined)
-    assert warm.iterations < cold.iterations
-    assert warm.loglik >= profile_loglik(np.zeros(du.m + du.r), du)
-    for field in ("theta", "S", "Sigma", "weights"):
-        want, got = getattr(cold, field), getattr(warm, field)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
-    assert warm.loglik == pytest.approx(cold.loglik, rel=1e-10)
+    for data, start in ((dr, REFINED_TRUTH), (du, refined)):
+        cold, warm = fit(data), fit(data, start=start)
+        assert warm.iterations < cold.iterations
+        assert warm.loglik >= profile_loglik(np.zeros(data.m + data.r), data)
+        for field in ("theta", "S", "Sigma", "weights"):
+            want, got = getattr(cold, field), getattr(warm, field)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), field
+        assert warm.loglik == pytest.approx(cold.loglik, rel=1e-10)
     # a start that is the maximizer itself: 0 lies in every model, so start=cold
     # and a start from the empty-tilt model also land there
     assert np.allclose(fit(du, start=cold).theta, cold.theta, rtol=1e-10, atol=0.0)
@@ -402,6 +406,23 @@ def test_fit_start_embeds_by_neighbor_and_column():
                            start.theta.tolist()):
         assert by_coordinate.pop((k, c)) == value
     assert set(by_coordinate.values()) == {0.0}
+
+
+def test_fit_checks_a_flat_theta_start():
+    # an array start is a flat theta in the data's layout, 0 at pinned
+    # alphas and finite; the loop works on a copy of it
+    samples = list(generate(6, (300, 300, 300)))
+    data = validate(samples, [TiltSpec.parse("logx"), TiltSpec(())])   # alpha_2 pinned
+    start = np.array([0.5, 0.0, 0.5])
+    model = fit(data, start=start)
+    assert start.tolist() == [0.5, 0.0, 0.5] and start.flags.writeable
+    assert np.allclose(model.theta, fit(data).theta, rtol=1e-10, atol=0.0)
+    for bad in ([0.5, 0.5], [0.5, 0.0, 0.5, 0.0], [[0.5, 0.0, 0.5]], [0.5, 1.0, 0.5]):
+        with pytest.raises(ArityMismatch):
+            fit(data, start=np.array(bad))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            fit(data, start=np.array([bad, 0.0, 0.5]))
 
 
 def test_fit_start_must_be_nested_in_the_same_samples():

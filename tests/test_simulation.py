@@ -7,14 +7,17 @@ from drmfuse import (
     NoConvergence,
     Sample,
     SimConfig,
+    drm_cdf,
     empirical_cdf,
     exp2_cdf,
+    fit,
     generate,
     miae_mise,
     run_comparison,
+    validate,
 )
-from drmfuse.simulation import ESTIMATORS, ExcessiveFailures
-from drmfuse import simulation
+from drmfuse.simulation import ESTIMATORS, REFINED_TRUTH, ExcessiveFailures
+from drmfuse import _kernels, simulation
 
 
 def test_generate_parameterizations():
@@ -37,6 +40,19 @@ def test_density_ratio_identities_on_grid():
     assert np.allclose(f1 / f0, ratio1, rtol=1e-12)
     ratio2 = np.exp(-0.5 - np.log(2.0 * np.sqrt(2.0 * np.pi)) + 2.0 * x - 0.5 * np.log(x) ** 2)
     assert np.allclose(f2 / f0, ratio2, rtol=1e-12)
+
+
+def test_refined_truth_is_the_true_log_density_ratio():
+    # eta = X B at the true theta, in the refined layout, against the log
+    # density ratios of the generator's distributions
+    data = validate(list(generate(8, (500, 500, 500))), list(simulation.REFINED_TILTS))
+    x = data.t
+    log_f0 = expon.logpdf(x, scale=0.5)
+    want = np.column_stack([gamma_dist.logpdf(x, a=2.0, scale=0.5) - log_f0,
+                            lognorm.logpdf(x, s=1.0, scale=np.e) - log_f0])
+    got = _kernels.eta_matrix(REFINED_TRUTH, data)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+    assert not REFINED_TRUTH.flags.writeable
 
 
 def test_exp2_cdf():
@@ -88,6 +104,12 @@ def test_simconfig_validation():
     for sizes in ((1000, 1000), (1000, 1000, 1000, 1000)):
         with pytest.raises(ArityMismatch):
             SimConfig(sizes=sizes)
+    # counts must be integers: a J of 2.5 would integrate beyond M2
+    for kwargs in ({"grid": (0, 10, 2.5)}, {"replications": 2.5},
+                   {"sizes": (50.5, 50, 50)}, {"sizes": (50, 50, "50")}):
+        with pytest.raises(ArityMismatch, match="integer"):
+            SimConfig(**kwargs)
+    SimConfig(replications=np.int64(2), sizes=(np.int32(50),) * 3, grid=(0.0, 10.0, np.int64(8)))
 
 
 def test_run_comparison_smoke_single_replicate():
@@ -124,8 +146,9 @@ def test_mise_decreases_when_n_doubles():
 
 
 def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
-    # each replicate's uniform fit is started at the refined model fitted on
-    # the same samples, and the table matches cold starts of both fits
+    # each replicate's refined fit is started at the true theta and its
+    # uniform fit at the refined model fitted on the same samples, and the
+    # table matches cold starts of both fits
     cfg = SimConfig(replications=6, sizes=(300, 300, 300), seed=11)
     real_fit = simulation.likelihood.fit
     calls = []
@@ -138,15 +161,18 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
     monkeypatch.setattr(simulation.likelihood, "fit", spy)
     warm = run_comparison(cfg)
     assert len(calls) == 2 * cfg.replications
-    warm_iterations = cold_iterations = 0
-    for (refined_data, no_start, refined), (uniform_data, start, uniform) in zip(
+    warm_iterations = cold_iterations = refined_iterations = cold_refined_iterations = 0
+    for (refined_data, truth, refined), (uniform_data, start, uniform) in zip(
             calls[::2], calls[1::2]):
-        assert no_start is None and start is refined
+        assert truth is REFINED_TRUTH and start is refined
         assert [spec for _, spec in refined_data.neighbors] == list(simulation.REFINED_TILTS)
         assert [spec for _, spec in uniform_data.neighbors] == list(simulation.UNIFORM_TILTS)
         warm_iterations += uniform.iterations
         cold_iterations += real_fit(uniform_data).iterations
+        refined_iterations += refined.iterations
+        cold_refined_iterations += real_fit(refined_data).iterations
     assert warm_iterations < cold_iterations
+    assert refined_iterations < cold_refined_iterations
 
     monkeypatch.setattr(simulation.likelihood, "fit", lambda data, start=None: real_fit(data))
     cold = run_comparison(cfg)
@@ -158,6 +184,43 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
         assert row_w.estimator == row_c.estimator
         for metric in ("miae", "miae_se", "mise", "mise_se"):
             assert getattr(row_w, metric) == pytest.approx(getattr(row_c, metric), rel=1e-10)
+
+
+def test_replicate_bins_the_fused_points_once(monkeypatch):
+    # the three CDFs of a replicate come from one searchsorted of the fused
+    # points into the grid, not one per estimator
+    cfg = SimConfig(replications=4, sizes=(200, 200, 200), seed=5)
+    calls = []
+    real = np.searchsorted
+
+    def spy(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    table = run_comparison(cfg)
+    assert table.failures == 0
+    assert calls == [sum(cfg.sizes)] * cfg.replications
+
+
+def test_replicate_columns_are_the_three_cdfs_bit_for_bit():
+    # one binning gives drm_cdf of each fit and the reference's empirical
+    # CDF exactly, so each estimator's errors are those of its own CDF
+    samples = generate(12, (400, 300, 350))
+    grid = (0.0, 10.0, 1000)
+    refined = fit(validate(list(samples), list(simulation.REFINED_TILTS)), start=REFINED_TRUTH)
+    uniform = fit(validate(list(samples), list(simulation.UNIFORM_TILTS)), start=refined)
+    cdfs = {"uniform": lambda x: drm_cdf(uniform, x),
+            "refined": lambda x: drm_cdf(refined, x),
+            "empirical": lambda x: empirical_cdf(samples[0], x)}
+    x = np.concatenate([np.linspace(-1.0, 12.0, 300), samples[0].values[:50], [np.inf]])
+    columns = simulation._replicate_cdfs(uniform, refined, x)
+    for k, name in enumerate(ESTIMATORS):
+        assert columns[:, k].tobytes() == cdfs[name](x).tobytes(), name
+    errors = simulation._replicate_errors(samples, grid)
+    assert list(errors) == list(ESTIMATORS)
+    for name in ESTIMATORS:
+        assert errors[name] == miae_mise(cdfs[name], exp2_cdf, grid), name
 
 
 def test_run_comparison_counts_and_aborts_on_failures(monkeypatch):
