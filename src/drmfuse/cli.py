@@ -8,6 +8,11 @@ finite number is an input error naming the first such line. The reference
 and neighbor regions must be distinct; rows of other regions are ignored,
 and rows with a value <= 0 are dropped and counted on stderr. Every data
 subcommand reads its file once, into the sample list that the fit takes.
+numpy's C tokenizer (``np.loadtxt``) reads the file in blocks of rows. A
+file it rejects or may read differently, such as one with a whitespace-only
+line, a value in Python-only syntax (``1_000``), a value that is not finite,
+a NUL or a line longer than ``csv.field_size_limit()``, is read again by the
+csv module, which gives the same columns and names the first faulty line.
 Subcommands:
 
   refine     per-period pairwise tilt selection (one row per period, plus a
@@ -68,9 +73,22 @@ class EmptyAfterFilter(InputError):
         self.region = region
 
 
-# Rows parsed per block. A block bounds the reader's working memory whatever
-# the file size, and is large enough that per-block numpy calls are amortized.
+# Rows read per block. A block bounds the reader's working memory whatever the
+# file size, and is large enough that per-block numpy calls are amortized.
+# numpy's C tokenizer (``np.loadtxt``) reads each block; a file it rejects,
+# or may read differently from the csv module, is read again from its start
+# by ``csv.reader`` (see ``_read_rows``).
 _BLOCK_ROWS = 1024
+
+_HEADER = ["region", "period", "value"]
+
+# One row as ``np.loadtxt`` reads it: the two raw label fields and the value.
+_ROW = np.dtype([("region", object), ("period", object), ("value", float)])
+
+# A row appended to every block ``np.loadtxt`` reads, and dropped from its
+# result. A block that ends inside a quoted field, which the csv module would
+# carry on into the next block, swallows it into that field and fails.
+_SENTINEL = "_,_,0\n"
 
 
 def _read_rows(path: str):
@@ -79,41 +97,92 @@ def _read_rows(path: str):
 
     Labels are the sorted distinct stripped fields, and each code array holds
     one index into its labels per data row. Rows are read in blocks of
-    ``_BLOCK_ROWS``; a block that fails to parse is re-read row by row, so the
-    first faulty line in the file is the one reported. A file that cannot be
-    read or decoded is an InputError, and a CSV syntax fault a ParseError.
+    ``_BLOCK_ROWS`` lines by numpy's tokenizer (``_loadtxt_blocks``). If it
+    rejects the header or any block, finds a value that is not finite, or
+    meets input it may read differently from the csv module (a NUL, a line
+    longer than ``csv.field_size_limit()``, a block ending inside a quoted
+    field, bytes that are not UTF-8), the whole file is read again by
+    ``csv.reader`` (``_csv_blocks``). That route has the wider grammar (a
+    quoted header, whitespace-only lines, Python number syntax such as
+    ``1_000``) and names the first faulty line in its error. Both routes give
+    the same columns on every file numpy accepts. A file that cannot be read
+    or decoded is an InputError, and a CSV syntax fault a ParseError.
     """
-    region_code: dict[str, int] = {}
-    period_code: dict[str, int] = {}
-    regions, periods, values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(1, "empty file") from None
-            if [h.strip().lower() for h in header] != ["region", "period", "value"]:
-                raise ParseError(1, f"expected header region,period,value, got {header!r}")
-            line_no = 2
-            while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-                try:
-                    region, period, value = _parse_block(block)
-                except ValueError:
-                    _raise_first_fault(block, line_no)
-                    raise
-                regions.append(_codes(region, region_code))
-                periods.append(_codes(period, period_code))
-                values.append(value)
-                line_no += len(block)
+        try:
+            return _columns(path, _loadtxt_blocks)
+        except ValueError:   # UnicodeDecodeError included
+            return _columns(path, _csv_blocks)
     except OSError as e:
         raise InputError(str(e)) from None
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e})") from None
-    except csv.Error as e:
-        raise ParseError(reader.line_num, str(e)) from None
+
+
+def _columns(path: str, blocks):
+    """``_read_rows``'s columns, from the (region fields, period fields,
+    values) blocks that ``blocks`` reads from the open file."""
+    region_code: dict[str, int] = {}
+    period_code: dict[str, int] = {}
+    regions, periods, values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for region, period, value in blocks(fh):
+            regions.append(_codes(region, region_code))
+            periods.append(_codes(period, period_code))
+            values.append(value)
     return (_labels(region_code, np.concatenate(regions)),
             _labels(period_code, np.concatenate(periods)), np.concatenate(values))
+
+
+def _loadtxt_blocks(fh):
+    """The data rows' blocks, tokenized by ``np.loadtxt``.
+
+    Raises ValueError at a header or a block that the csv route might read
+    otherwise.
+    """
+    limit = csv.field_size_limit()
+    header = fh.readline()
+    if len(header) > limit or [h.strip().lower() for h in header.split(",")] != _HEADER:
+        raise ValueError("header")
+    while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+        text = "".join(block)
+        # numpy reads a NUL, which the csv module rejects on Python 3.10, and
+        # fields longer than csv.field_size_limit(), which it always rejects
+        if "\0" in text or (len(text) > limit and max(map(len, block)) > limit):
+            raise ValueError("a NUL or a line longer than the csv field limit")
+        block.append(_SENTINEL)
+        rows = np.loadtxt(block, delimiter=",", quotechar='"', comments=None, dtype=_ROW,
+                          ndmin=1)[:-1]
+        if not np.isfinite(rows["value"]).all():
+            raise ValueError("non-finite value")
+        yield rows["region"].tolist(), rows["period"].tolist(), rows["value"]
+
+
+def _csv_blocks(fh):
+    """The data rows' blocks, tokenized by ``csv.reader``.
+
+    A block that fails to parse is re-read row by row, so the first faulty
+    line in the file is the one reported.
+    """
+    reader = csv.reader(fh)
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(1, "empty file") from None
+        if [h.strip().lower() for h in header] != _HEADER:
+            raise ParseError(1, f"expected header region,period,value, got {header!r}")
+        line_no = 2
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            try:
+                parsed = _parse_block(block)
+            except ValueError:
+                _raise_first_fault(block, line_no)
+                raise
+            yield parsed
+            line_no += len(block)
+    except csv.Error as e:
+        raise ParseError(reader.line_num, str(e)) from None
 
 
 def _parse_block(block: list[list[str]]):
@@ -128,7 +197,7 @@ def _parse_block(block: list[list[str]]):
         if set(map(len, block)) != {3}:
             raise ValueError("row width")
     region, period, raw = zip(*block)
-    value = np.fromiter(map(float, raw), float, len(raw))
+    value = np.fromiter(map(float, map(str.strip, raw)), float, len(raw))
     if not np.isfinite(value).all():
         raise ValueError("non-finite value")
     return region, period, value

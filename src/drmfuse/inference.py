@@ -48,7 +48,6 @@ class ThresholdEstimate:
     se: float
     ci: tuple[float, float]
     method: str                   # "drm" or "empirical"
-    n_effective: int
 
     @property
     def ci_clamped(self) -> tuple[float, float]:
@@ -226,7 +225,6 @@ def threshold_probability(
             se=float(s),
             ci=(float(p - z * s), float(p + z * s)),
             method=method,
-            n_effective=int(n),
         )
         for t, p, s in zip(T, prob, se)
     )

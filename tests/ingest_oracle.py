@@ -22,24 +22,31 @@ def read_rows(path: str):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty file") from None
-        if [h.strip().lower() for h in header] != ["region", "period", "value"]:
-            raise ParseError(1, f"expected header region,period,value, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
-            region, period, raw = (f.strip() for f in row)
-            try:
-                value = float(raw)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError(line_no, f"bad value {raw!r}")
-            yield region, period, value
+            yield from _checked(reader)
+        except csv.Error as e:     # e.g. a NUL on Python 3.10
+            raise ParseError(reader.line_num, str(e)) from None
+
+
+def _checked(reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "empty file") from None
+    if [h.strip().lower() for h in header] != ["region", "period", "value"]:
+        raise ParseError(1, f"expected header region,period,value, got {header!r}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
+        region, period, raw = (f.strip() for f in row)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(line_no, f"bad value {raw!r}")
+        yield region, period, value
 
 
 def partition(rows, wanted: list[str], period_filter: set[str] | None):

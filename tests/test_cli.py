@@ -21,6 +21,7 @@ from drmfuse.cli import (
     main,
     parse_tilt_string,
 )
+from drmfuse.core import InputError
 
 
 def write_csv(path, rows):
@@ -160,6 +161,105 @@ def test_utf8_bom_is_ignored(tmp_path, radon_csv, capsys):
         assert a.label == b.label and a.values.tobytes() == b.values.tobytes()
     assert bom[1:] == plain[1:]
     assert main(["fit", *_flags(str(path), "--tilt", "global")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# reader routes: numpy's tokenizer, and the csv module for what it cannot read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def csv_reader_calls(monkeypatch):
+    """A list that grows by one for every ``csv.reader`` call."""
+    calls = []
+    reader = csv.reader
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    return calls
+
+
+def _columns_bytes(columns):
+    (region_labels, region_codes), (period_labels, period_codes), values = columns
+    return (region_labels, region_codes.tobytes(), period_labels, period_codes.tobytes(),
+            values.tobytes())
+
+
+def _ingest_outcome(read):
+    try:
+        samples, rejected, periods = read()
+    except InputError as e:
+        return type(e), getattr(e, "line_no", None), str(e)
+    return [(s.label, s.values.tobytes()) for s in samples], rejected, periods
+
+
+def test_plain_file_is_read_without_the_csv_module(radon_csv, csv_reader_calls):
+    got = cli._read_rows(radon_csv)
+    assert csv_reader_calls == []
+    assert got[2].size == 1503
+    assert _columns_bytes(got) == _columns_bytes(cli._columns(radon_csv, cli._csv_blocks))
+    assert len(csv_reader_calls) == 1
+
+
+@pytest.mark.parametrize("line", ["  \t", "Butler,94-98,1_000", "Else\0where,89-93,3.0"],
+                         ids=["whitespace-only", "python-number", "nul"])
+def test_csv_only_input_takes_the_csv_route(radon_csv, tmp_path, csv_reader_calls, line):
+    lines = Path(radon_csv).read_text().splitlines()
+    lines.insert(cli._BLOCK_ROWS + 100, line)
+    path = tmp_path / "route.csv"
+    path.write_text("\n".join(lines) + "\n")
+    wanted = ["Beaver", "Butler", "Allegheny"]
+    got = _ingest_outcome(lambda: cli_ingest(str(path), wanted, None))
+    assert len(csv_reader_calls) == 1
+    assert got == _ingest_outcome(lambda: ingest_oracle.ingest(str(path), wanted, None))
+
+
+def test_field_longer_than_the_csv_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "long.csv"
+    long_label = "B" * (csv.field_size_limit() + 1)
+    path.write_text(f"region,period,value\nBeaver,p,1.0\n{long_label},p,2.0\nButler,p,3.0\n")
+    with pytest.raises(ParseError) as exc:
+        cli._read_rows(str(path))
+    assert exc.value.line_no == 3
+    assert "field larger than field limit" in str(exc.value)
+
+
+def test_quote_open_at_a_block_end_takes_the_csv_route(tmp_path, monkeypatch):
+    # the csv module carries the open field on to the end of the file, while
+    # numpy would close it at the end of the block and read on
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    path = tmp_path / "quote.csv"
+    path.write_text('region,period,value\nBeaver,p,1.0\nBeaver,p,"2.0\nButler,p,3.0\n'
+                    'Butler,p,4.0\n')
+    want = "line 3: bad value '2.0\\nButler,p,3.0\\nButler,p,4.0'"
+    for read in (lambda: cli._read_rows(str(path)),
+                 lambda: ingest_oracle.ingest(str(path), ["Beaver", "Butler"], None)):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert str(exc.value) == want
+
+
+def test_value_padding_is_stripped_on_both_routes(tmp_path):
+    # U+001C..U+001F are whitespace to str.strip, not to float()
+    path = tmp_path / "pad.csv"
+    path.write_text("region,period,value\nBeaver,p,\x1c2.5\x1f\nButler,p, 1.5\x1d\n")
+    for columns in (cli._read_rows(str(path)), cli._columns(str(path), cli._csv_blocks)):
+        assert columns[2].tolist() == [2.5, 1.5]
+
+
+@pytest.mark.parametrize("text, err", [
+    ("region,period,value\n", "region 'Beaver' has no rows in the input file"),
+    ("region,period,value\n\n\r\n\n", "region 'Beaver' has no rows in the input file"),
+    ("\n\n\n", "line 1: expected header region,period,value, got []"),
+], ids=["header-only", "blank-data-lines", "blank-lines-only"])
+def test_file_without_data_rows(tmp_path, capsys, text, err):
+    path = tmp_path / "nodata.csv"
+    path.write_bytes(text.encode())
+    argv = ["fit", str(path), "--reference", "Beaver", "--neighbors", "Butler", "--tilt", "global"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"drmfuse: input error: {err}\n")
 
 
 # ---------------------------------------------------------------------------

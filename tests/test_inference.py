@@ -317,7 +317,6 @@ def test_threshold_drm_monotone_and_symmetric(rng):
     for est in threshold_probability(model, (0.25, 0.5, 1.0, 2.0)):
         probs.append(est.prob)
         assert est.method == "drm"
-        assert est.n_effective == model.data.n
         assert (est.ci[0] + est.ci[1]) / 2.0 == pytest.approx(est.prob, abs=1e-15)
         assert est.ci[0] <= est.prob <= est.ci[1]
     assert all(a >= b for a, b in zip(probs[:-1], probs[1:]))
