@@ -6,21 +6,26 @@ log^2 t), and the map ``(nbr[j], col[j])`` that sends flat coordinate j to
 its neighbor and its column of X (column 0 for alpha). Each neighbor's log
 tilt is then a column of eta = X B, with B[col[j], nbr[j]] = theta_j.
 
-Everything here works in log space: tilt exponents can be huge for large
-measurements (exp(beta * log^2 x) overflows quickly), but the softmax-like
-ratios q_k = w_k / sum_u rho_u w_u are bounded above by 1/rho_k, so all
-downstream quantities are formed from exponent differences. The
-log-denominator shifts every row by its largest exponent before
-exponentiating, so no exponential exceeds 1; the same pass gives the ratios.
-X and the (n, m) and (n, m + r) arrays are column-major, because numpy
-reduces a C-order array along its short axis one row at a time.
+Tilt exponents can be huge for large measurements (exp(beta * log^2 x)
+overflows quickly), but the softmax-like ratios q_k = w_k / sum_u rho_u w_u
+are bounded above by 1/rho_k. While the largest exponent keeps every
+denominator D_i = sum_k rho_k w_k(t_i) below half the largest float, the
+log-denominator exponentiates eta as it is; above that bound it shifts every
+row by its largest exponent first, so no exponential exceeds 1. The same
+pass gives the ratios. X and the (n, m) and (n, m + r) arrays are
+column-major, because numpy reduces a C-order array along its short axis
+one row at a time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ArityMismatch, FusedData, InputError, NonFinite
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
@@ -30,26 +35,41 @@ def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
     return (B.T @ data.X.T).T   # column-major (n, m)
 
 
+def unshifted_limit(data: FusedData) -> float:
+    """The largest tilt exponent that ``log_denominators`` exponentiates
+    unshifted: up to it, D_i <= (sum_k rho_k) e^{max_k eta_ik} is at most half
+    the largest float, and sum_k rho_k = n / n_0."""
+    return _LOG_MAX - math.log(2.0 * data.n / data.n0)
+
+
 def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np.ndarray]:
     """(logD, U): logD_i = log D_i = log sum_{k=0}^m rho_k w_k(t_i), w_0 = 1, and
     the ratios U[:, k - 1] = rho_k w_k / D in (0, 1).
 
-    Each row is shifted by mx_i = max(0, max_k eta_ik), so w_k never
-    materializes raw: with E = exp(eta - mx), computed in place, and inner =
-    expm1(-mx) + E @ rho[1:], logD = mx + log1p(inner) keeps full relative
-    precision near 0, and U = rho[1:] E / (1 + inner).
+    With E = exp(eta), computed in place, and inner = E @ rho[1:], logD =
+    log1p(inner) keeps full relative precision near 0 and U = rho[1:] E / (1
+    + inner). That holds while no exponent exceeds ``unshifted_limit``;
+    beyond it, each row is shifted by mx_i = max(0, max_k eta_ik) first, so
+    w_k never materializes raw: E = exp(eta - mx), inner = expm1(-mx) + E @
+    rho[1:] and logD = mx + log1p(inner).
     """
     eta = eta_matrix(theta, data)
     if not np.isfinite(eta).all():
         raise NonFinite("tilt exponents")
     if not data.m:  # max over an empty axis raises; D = rho_0 = 1
         return np.zeros(data.n), eta
-    mx = np.maximum(eta.max(axis=1), 0.0)
-    eta -= mx[:, None]
-    E = np.exp(eta, out=eta)
-    inner = np.expm1(-mx) + np.dot(E, data.rho[1:])   # @ skips BLAS when m = 1
-    logD = mx + np.log1p(inner)
-    E *= (1.0 / (1.0 + inner))[:, None]
+    if eta.max() <= unshifted_limit(data):
+        E = np.exp(eta, out=eta)
+        inner = np.dot(E, data.rho[1:])   # @ skips BLAS when m = 1
+        logD = np.log1p(inner)
+    else:
+        mx = np.maximum(eta.max(axis=1), 0.0)
+        eta -= mx[:, None]
+        E = np.exp(eta, out=eta)
+        inner = np.expm1(-mx) + np.dot(E, data.rho[1:])
+        logD = mx + np.log1p(inner)
+    inner += 1.0
+    E /= inner[:, None]
     E *= data.rho[1:]
     return logD, E
 
@@ -61,15 +81,12 @@ def tilt_design(U: np.ndarray, data: FusedData, out: np.ndarray | None = None) -
     ``U[:, k] = rho_k w_k / D``; column j is neighbor nbr[j]'s ratio times
     its column col[j] of X, so the first m columns are U itself.
     """
-    Psi = np.empty((data.n, data.nbr.size), order="F") if out is None else out
-    for j, (k, c) in enumerate(zip(data.nbr, data.col)):
+    m = data.m
+    Psi = np.empty((data.n, len(data.pairs)), order="F") if out is None else out
+    Psi[:, :m] = U   # X's column 0 is all ones
+    for j, (k, c) in enumerate(data.pairs[m:], start=m):
         np.multiply(U[:, k], data.X[:, c], out=Psi[:, j])   # no (n, m + r) temporaries
     return Psi
-
-
-def fused_weights(logD: np.ndarray, data: FusedData) -> np.ndarray:
-    """Empirical-likelihood point masses p_i = 1 / (n_0 D_i)."""
-    return np.exp(-np.log(data.n0) - logD)
 
 
 def at_or_below(t: np.ndarray, T, weights: np.ndarray | None = None) -> np.ndarray:

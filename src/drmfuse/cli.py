@@ -162,7 +162,8 @@ def _csv_blocks(fh):
     """The data rows' blocks, tokenized by ``csv.reader``.
 
     A block that fails to parse is re-read row by row, so the first faulty
-    line in the file is the one reported.
+    record in the file is the one reported, by the physical line it starts
+    on (a quoted field may span lines).
     """
     reader = csv.reader(fh)
     try:
@@ -172,15 +173,20 @@ def _csv_blocks(fh):
             raise ParseError(1, "empty file") from None
         if [h.strip().lower() for h in header] != _HEADER:
             raise ParseError(1, f"expected header region,period,value, got {header!r}")
-        line_no = 2
-        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+        while True:
+            block, starts, end = [], [], reader.line_num
+            for row in itertools.islice(reader, _BLOCK_ROWS):
+                block.append(row)
+                starts.append(end + 1)
+                end = reader.line_num
+            if not block:
+                return
             try:
                 parsed = _parse_block(block)
             except ValueError:
-                _raise_first_fault(block, line_no)
+                _raise_first_fault(block, starts)
                 raise
             yield parsed
-            line_no += len(block)
     except csv.Error as e:
         raise ParseError(reader.line_num, str(e)) from None
 
@@ -203,10 +209,10 @@ def _parse_block(block: list[list[str]]):
     return region, period, value
 
 
-def _raise_first_fault(block: list[list[str]], first_line: int) -> None:
+def _raise_first_fault(block: list[list[str]], starts: list[int]) -> None:
     """Raise ParseError for the first row of a failed block that ``_parse_block``
-    rejects on its own."""
-    for line_no, row in enumerate(block, start=first_line):
+    rejects on its own, at the line where that row starts."""
+    for line_no, row in zip(starts, block):
         try:
             _parse_block([row])
         except ValueError:

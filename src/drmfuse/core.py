@@ -218,25 +218,31 @@ class FusedData:
     ``rho[0] = 1``. Every tilt is a subset of the ``GLOBAL_TILT`` basis, so
     the design ``X = (1, x, log x, log^2 x)`` holds that basis once, after a
     constant column: column ``1 + c`` is ``GLOBAL_TILT.basis[c]`` evaluated
-    at ``t``. The flat parameter vector is ``(alpha_1..alpha_m, beta)``, and
+    at ``t``. ``sums[k]`` holds the column sums of ``X`` over neighbor k's
+    sample. The flat parameter vector is ``(alpha_1..alpha_m, beta)``, and
     flat coordinate ``j`` belongs to neighbor ``nbr[j]`` and multiplies
     column ``col[j]`` of ``X``: ``alpha_k`` is the coefficient of neighbor
     k's constant column, and the betas follow in the order of each
-    neighbor's tilt. ``r = nbr.size - m`` counts the betas. ``obs[j]`` is the
-    sum of column ``col[j]`` over neighbor ``nbr[j]``'s sample, so the alpha
-    entries are the sample sizes. ``free`` lists the flat indices not pinned
-    at 0 (an empty tilt pins its alpha). ``n0`` and ``n`` are the reference
-    and fused sample sizes. All arrays are read-only.
+    neighbor's tilt. ``pairs`` holds the same ``(nbr[j], col[j])`` as Python
+    ints, and ``same[j, j']`` is True when coordinates j and j' belong to
+    one neighbor. ``r = nbr.size - m`` counts the betas. ``obs[j]`` is
+    ``sums[nbr[j], col[j]]``, so the alpha entries are the sample sizes.
+    ``free`` lists the flat indices not pinned at 0 (an empty tilt pins its
+    alpha). ``n0`` and ``n`` are the reference and fused sample sizes. All
+    arrays are read-only.
     """
 
     reference: Sample
     neighbors: tuple[tuple[Sample, TiltSpec], ...]
     t: np.ndarray
     rho: np.ndarray
-    # derived layout, computed once in validate()
+    # derived layout, computed once per set of tilts, in validate() or retilt()
     X: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(repr=False)
     nbr: np.ndarray = field(repr=False)
     col: np.ndarray = field(repr=False)
+    pairs: tuple[tuple[int, int], ...] = field(repr=False)
+    same: np.ndarray = field(repr=False)
     obs: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
     n0: int = field(repr=False)
@@ -258,10 +264,6 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
     """
     if len(samples) < 1:
         raise ArityMismatch("need at least a reference sample")
-    if len(tilts) != len(samples) - 1:
-        raise ArityMismatch(
-            f"{len(samples) - 1} neighbor(s) but {len(tilts)} tilt spec(s)"
-        )
     ref = samples[0]
     if ref.role is not Role.REFERENCE:
         raise ArityMismatch(f"first sample {ref.label!r} must have the reference role")
@@ -269,32 +271,51 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
         if s.role is not Role.NEIGHBOR:
             raise ArityMismatch(f"sample {s.label!r} must have the neighbor role")
 
-    m = len(tilts)
     n_k = np.array([s.n for s in samples], dtype=float)
     t = _freeze(np.concatenate([s.values for s in samples]))
-    rho = _freeze(n_k / n_k[0])
     X = np.empty((t.size, 4), order="F")
     X[:, 0] = 1.0
     X[:, 1:] = basis_matrix(t, GLOBAL_TILT)
     X = _freeze(X)
+    # column sums of X over each neighbor's sample, in that sample's row block
+    sums = np.add.reduceat(X, np.cumsum([s.n for s in samples[:-1]], dtype=np.intp), axis=0)
+    return _lay_out(ref, samples[1:], t, _freeze(n_k / n_k[0]), X, _freeze(sums), tilts)
+
+
+def retilt(data: FusedData, tilts: list[TiltSpec]) -> FusedData:
+    """``data``'s fused samples under other tilts, one per neighbor, in
+    order; the samples are not fused again, so both share ``t``, ``X`` and
+    their Sample objects."""
+    return _lay_out(data.reference, [s for s, _ in data.neighbors], data.t, data.rho, data.X,
+                    data.sums, tilts)
+
+
+def _lay_out(ref: Sample, neighbors: list[Sample], t: np.ndarray, rho: np.ndarray,
+             X: np.ndarray, sums: np.ndarray, tilts: list[TiltSpec]) -> FusedData:
+    """The FusedData of fused samples under ``tilts``: the flat layout, its
+    observed statistics and the indices it leaves free; one tilt per
+    neighbor, in order."""
+    m = len(neighbors)
+    if len(tilts) != m:
+        raise ArityMismatch(f"{m} neighbor(s) but {len(tilts)} tilt spec(s)")
     nbr = list(range(m)) + [k for k, spec in enumerate(tilts) for _ in spec.basis]
     col = [0] * m + [1 + GLOBAL_TILT.basis.index(b) for spec in tilts for b in spec.basis]
-    # column sums of X over each neighbor's sample, in that sample's row block
-    ends = np.cumsum([s.n for s in samples])
-    sums = np.array([X[a:b].sum(axis=0) for a, b in zip(ends[:-1], ends[1:])]).reshape(m, 4)
     free = [k for k, spec in enumerate(tilts) if spec.r] + list(range(m, len(nbr)))
     return FusedData(
         reference=ref,
-        neighbors=tuple(zip(samples[1:], tilts)),
+        neighbors=tuple(zip(neighbors, tilts)),
         t=t,
         rho=rho,
         X=X,
+        sums=sums,
         nbr=_freeze(nbr, int),
         col=_freeze(col, int),
+        pairs=tuple(zip(nbr, col)),
+        same=_freeze(np.equal.outer(nbr, nbr), bool),
         obs=_freeze(sums[nbr, col]),
         free=_freeze(free, int),
-        n0=int(n_k[0]),
-        n=int(n_k.sum()),
+        n0=ref.n,
+        n=t.size,
     )
 
 

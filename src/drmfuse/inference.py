@@ -137,17 +137,14 @@ def z_tests(fit2: FittedModel) -> TestReport:
     """Per-component Z-tests for a pairwise fit (joint statistic attached)."""
     joint = chi_square_beta_test(fit2)
     beta, Sigma_beta = _beta_block(fit2)
-    n = fit2.data.n
-    comps = []
-    for j, b in enumerate(fit2.data.neighbors[0][1].basis):
-        # Sigma's beta block is that of S^-1, and S is positive definite, so var > 0
-        z = float(beta[j] / np.sqrt(Sigma_beta[j, j] / n))
-        comps.append(ComponentTest(basis=b, z=z, p=_two_sided_p(z)))
+    # Sigma's beta block is that of S^-1, and S is positive definite, so var > 0
+    z = (beta / np.sqrt(np.diag(Sigma_beta) / fit2.data.n)).tolist()
     return TestReport(
         statistic=joint.statistic,
         df=joint.df,
         p_value=joint.p_value,
-        per_component=tuple(comps),
+        per_component=tuple(ComponentTest(basis=b, z=zj, p=_two_sided_p(zj))
+                            for b, zj in zip(fit2.data.neighbors[0][1].basis, z)),
     )
 
 

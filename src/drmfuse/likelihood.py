@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import asymptotics
-from ._kernels import fused_weights, log_denominators, tilt_design
+from ._kernels import log_denominators, tilt_design
 from .core import (
     ArityMismatch,
     FittedModel,
@@ -57,7 +57,7 @@ def profile_loglik(theta: np.ndarray, data: FusedData) -> float:
 def _loglik_parts(theta: np.ndarray, data: FusedData):
     """(l, logD, U) at the flat theta, from one pass over the tilt exponents."""
     logD, U = log_denominators(theta, data)
-    value = float(-np.sum(logD) - data.n * np.log(data.n0) + data.obs @ theta)
+    value = float(-logD.sum() - data.n * np.log(data.n0) + data.obs @ theta)
     if not np.isfinite(value):
         raise NonFinite("profile log-likelihood")
     return value, logD, U
@@ -87,7 +87,7 @@ def _score_hessian(U: np.ndarray, data: FusedData):
     # so H = Psi' Psi minus, for each pair (j, j') of one neighbor,
     # X[:, col[j]]' Psi[:, j'] = G[col[j], j']
     H = Psi.T @ Psi
-    H -= np.where(data.nbr[:, None] == data.nbr, G[data.col], 0.0)
+    H -= np.where(data.same, G[data.col], 0.0)
     H = 0.5 * (H + H.T)   # exact symmetry despite BLAS rounding
     if not np.isfinite(H).all():
         raise NonFinite("hessian")
@@ -169,7 +169,10 @@ def fit(data: FusedData, start: FittedModel | np.ndarray | None = None) -> Fitte
     """
     _check_degenerate(data)
     n, free = data.n, data.free
-    sub = np.ix_(free, free)
+    if free.size < data.m + data.r:
+        sub = np.ix_(free, free)
+    else:   # no empty tilt: s, H and the step are views of the full arrays
+        free = sub = slice(None)
     theta = _initial_theta(start, data)
     l, logD, U = _loglik_parts(theta, data)
     s_full, H_full = _score_hessian(U, data)
@@ -215,7 +218,9 @@ def fit(data: FusedData, start: FittedModel | np.ndarray | None = None) -> Fitte
         polished += polishing
 
     S = -H_full / n
-    weights, Sigma = fused_weights(logD, data), asymptotics.Sigma_matrix(S, data.rho)
+    # the empirical-likelihood point masses p_i = 1 / (n_0 D_i)
+    weights = np.exp(-np.log(data.n0) - logD)
+    Sigma = asymptotics.Sigma_matrix(S, data.rho)
     for a in (theta, weights, S, Sigma, U):
         a.flags.writeable = False
     return FittedModel(

@@ -39,6 +39,7 @@ from .core import (
     NumericalError,
     Sample,
     TiltSpec,
+    retilt,
     validate,
 )
 
@@ -89,6 +90,8 @@ class SimConfig:
             raise ArityMismatch(f"sizes must be three sample sizes, got {len(self.sizes)}")
         if any(_count(n, "sample size") < 1 for n in self.sizes):
             raise ArityMismatch("sample sizes must be >= 1")
+        if _count(self.seed, "seed") < 0:
+            raise ArityMismatch(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _count(value, what: str) -> int:
@@ -205,11 +208,12 @@ def _replicate_cdfs(uniform, refined, x) -> np.ndarray:
 def _replicate_errors(samples, grid) -> dict[str, tuple[float, float]]:
     """One replicate's (IAE, ISE) for each estimator, keyed as ``ESTIMATORS``.
 
-    The refined fit starts at ``REFINED_TRUTH`` and the uniform fit at the
-    refined MLE, which also makes both fits share the same Sample objects and
-    so the same fused points."""
-    refined = likelihood.fit(validate(list(samples), list(REFINED_TILTS)), start=REFINED_TRUTH)
-    uniform = likelihood.fit(validate(list(samples), list(UNIFORM_TILTS)), start=refined)
+    The samples are fused once: the uniform fit's data lays the global tilts
+    out over the refined fit's fused points (``retilt``). The refined fit
+    starts at ``REFINED_TRUTH`` and the uniform fit at the refined MLE."""
+    data = validate(list(samples), list(REFINED_TILTS))
+    refined = likelihood.fit(data, start=REFINED_TRUTH)
+    uniform = likelihood.fit(retilt(data, list(UNIFORM_TILTS)), start=refined)
     iae, ise = miae_mise(lambda x: _replicate_cdfs(uniform, refined, x), exp2_cdf, grid)
     return {name: (float(iae[k]), float(ise[k])) for k, name in enumerate(ESTIMATORS)}
 

@@ -34,7 +34,10 @@ def _checked(reader):
         raise ParseError(1, "empty file") from None
     if [h.strip().lower() for h in header] != ["region", "period", "value"]:
         raise ParseError(1, f"expected header region,period,value, got {header!r}")
-    for line_no, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        # a quoted field may span lines: a row is named by the line it starts on
+        line_no, start = start, reader.line_num + 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:

@@ -241,6 +241,18 @@ def test_quote_open_at_a_block_end_takes_the_csv_route(tmp_path, monkeypatch):
         assert str(exc.value) == want
 
 
+def test_fault_after_a_multi_line_record_names_its_physical_line(tmp_path):
+    # a quoted label spans lines 3-4, so the faulty record on line 6 is the
+    # file's fifth record; both routes name the line it starts on
+    path = tmp_path / "multiline.csv"
+    path.write_text('region,period,value\nA,p,1\n"B\nB",p,2\nA,p,3\nA,p,x\n')
+    for read in (lambda: cli._read_rows(str(path)),
+                 lambda: ingest_oracle.ingest(str(path), ["A"], None)):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert (exc.value.line_no, str(exc.value)) == (6, "line 6: bad value 'x'")
+
+
 def test_value_padding_is_stripped_on_both_routes(tmp_path):
     # U+001C..U+001F are whitespace to str.strip, not to float()
     path = tmp_path / "pad.csv"
@@ -511,8 +523,12 @@ def test_exit_code_4_on_bad_flags(radon_csv, capsys):
     assert main(["simulate", "--sizes", "a,b,c"]) == 4
     assert main(["simulate", "--grid", "0,x,10"]) == 4
     assert main(["simulate", "--grid", "0,10,2.5"]) == 4
-    for flag, value in (("--sizes", "0,1,1"), ("--grid", "10,0,10"), ("--reps", "0")):
+    capsys.readouterr()
+    for flag, value in (("--sizes", "0,1,1"), ("--grid", "10,0,10"), ("--reps", "0"),
+                        ("--seed", "-1")):
         assert main(["simulate", flag, value]) == 4   # SimConfig's range checks
+        err = capsys.readouterr().err
+        assert err.startswith("drmfuse: config error:") and "Traceback" not in err
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):

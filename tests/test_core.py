@@ -12,6 +12,7 @@ from drmfuse import (
     TiltSpec,
     validate,
 )
+from drmfuse.core import retilt
 
 
 def test_validate_rho_arithmetic():
@@ -87,6 +88,30 @@ def test_arity_and_roles():
         validate([nb, ref], [TiltSpec.parse("x")])
     with pytest.raises(ArityMismatch):
         validate([ref, ref], [TiltSpec.parse("x")])
+
+
+def test_retilt_lays_out_other_tilts_over_the_same_fused_samples():
+    rng = np.random.default_rng(4)
+    samples = [Sample.reference("r", rng.exponential(1.0, 40)),
+               Sample.neighbor("a", rng.gamma(2.0, 0.5, 30)),
+               Sample.neighbor("b", rng.lognormal(0.0, 1.0, 20))]
+    first = [TiltSpec.parse("logx"), TiltSpec.parse("x,log2x")]
+    for tilts in ([GLOBAL_TILT, GLOBAL_TILT], [TiltSpec(()), TiltSpec.parse("log2x,x")]):
+        fresh, moved = validate(samples, tilts), retilt(validate(samples, first), tilts)
+        assert moved.neighbors == fresh.neighbors and moved.reference is fresh.reference
+        for name in ("t", "rho", "X", "sums", "nbr", "col", "same", "obs", "free"):
+            assert getattr(moved, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert (moved.pairs, moved.n0, moved.n) == (fresh.pairs, fresh.n0, fresh.n)
+    # the layout as Python ints, and which coordinates share a neighbor
+    data = validate(samples, [TiltSpec.parse("logx"), TiltSpec.parse("x,log2x")])
+    assert data.pairs == ((0, 0), (1, 0), (0, 2), (1, 1), (1, 3))
+    assert all(type(i) is int for pair in data.pairs for i in pair)
+    assert data.same.tolist() == [[a == b for b in (0, 1, 0, 1, 1)] for a in (0, 1, 0, 1, 1)]
+    # the sums are X's column sums over each neighbor's block
+    assert np.allclose(data.sums, [data.X[40:70].sum(axis=0), data.X[70:].sum(axis=0)],
+                       rtol=1e-15, atol=0.0)
+    with pytest.raises(ArityMismatch):
+        retilt(data, [GLOBAL_TILT])
 
 
 def test_tiltspec_parse_format_roundtrip():

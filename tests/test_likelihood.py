@@ -102,26 +102,38 @@ def test_check_theta_pins_empty_tilt_alpha(rng):
 
 @pytest.mark.parametrize("tilts", [("x,logx,log2x", "x,log2x"), ("", "logx"), ()])
 def test_log_denominators_match_logsumexp(rng, monkeypatch, tilts):
-    # exponents up to +-700 (a separated-support fit reaches them), rows all
-    # far below 0, rows near 0, unequal rho, an empty tilt and m = 0
+    # exponents up to +-top, rows all far below 0, rows near 0, unequal rho,
+    # an empty tilt and m = 0. The pass exponentiates eta unshifted up to
+    # unshifted_limit and shifts each row by its maximum beyond it: the
+    # benchmark's fits reach exponents of about 39 to 492, "below" and
+    # "above" put one exponent just either side of the limit, and a
+    # separated-support fit reaches 1000, where exp overflows
     samples = [Sample.reference("r", rng.exponential(1.0, 400))]
     samples += [Sample.neighbor(f"n{k}", rng.exponential(1.0, 150 + 170 * k))
                 for k in range(len(tilts))]
     data = validate(samples, [TiltSpec.parse(t) if t else TiltSpec(()) for t in tilts])
-    eta = rng.uniform(-700.0, 700.0, (data.n, data.m))
-    eta[:100] = rng.uniform(-700.0, -1.0, (100, data.m))
-    eta[100:200] = rng.uniform(-1e-3, 1e-3, (100, data.m))
-    full = np.column_stack([np.zeros(data.n), eta])   # a copy: the kernel overwrites eta
-    monkeypatch.setattr(_kernels, "eta_matrix", lambda theta, data: eta)
-    logD, U = _kernels.log_denominators(np.zeros(data.m + data.r), data)
-    ref = logsumexp(full, axis=1, b=np.broadcast_to(data.rho, full.shape))
-    assert np.all(np.abs(logD - ref) <= 1e-13 * np.abs(ref))
-    # the ratios rho_k w_k / D, from the same rows; relative where the oracle
-    # is a normal float, absolute by the smallest one below it
-    U_ref = data.rho[1:] * np.exp(full[:, 1:] - ref[:, None])
-    tiny = np.finfo(float).tiny
-    assert U.shape == (data.n, data.m)
-    assert np.all(np.abs(U - U_ref) <= 5e-13 * U_ref + tiny)
+    limit = _kernels.unshifted_limit(data)
+    assert 700.0 < limit < np.log(np.finfo(float).max)
+    for top in (39.0, 492.0, "below", "above", 1000.0):
+        edge = {"below": limit * (1 - 1e-15), "above": limit * (1 + 1e-15)}.get(top)
+        hi = 700.0 if edge else top
+        eta = rng.uniform(-hi, hi, (data.n, data.m))
+        eta[:100] = rng.uniform(-700.0, -1.0, (100, data.m))
+        eta[100:200] = rng.uniform(-1e-3, 1e-3, (100, data.m))
+        if edge and data.m:
+            eta[-1, -1] = edge
+            assert (eta.max() > limit) == (top == "above")
+        full = np.column_stack([np.zeros(data.n), eta])   # a copy: the kernel overwrites eta
+        monkeypatch.setattr(_kernels, "eta_matrix", lambda theta, data: eta)
+        logD, U = _kernels.log_denominators(np.zeros(data.m + data.r), data)
+        ref = logsumexp(full, axis=1, b=np.broadcast_to(data.rho, full.shape))
+        assert np.all(np.abs(logD - ref) <= 1e-13 * np.abs(ref)), top
+        # the ratios rho_k w_k / D, from the same rows; relative where the
+        # oracle is a normal float, absolute by the smallest one below it
+        U_ref = data.rho[1:] * np.exp(full[:, 1:] - ref[:, None])
+        tiny = np.finfo(float).tiny
+        assert U.shape == (data.n, data.m)
+        assert np.all(np.abs(U - U_ref) <= 5e-13 * U_ref + tiny), top
 
 
 def test_log_denominators_reject_non_finite_exponents(rng):
@@ -366,7 +378,7 @@ def test_fit_matches_two_loop_oracle():
         assert model.theta.tobytes() == theta.tobytes(), name
         assert (model.loglik, model.score_norm) == (loglik, score_norm), name
         assert model.S.tobytes() == (-H / data.n).tobytes(), name
-        assert model.weights.tobytes() == _kernels.fused_weights(logD, data).tobytes(), name
+        assert model.weights.tobytes() == np.exp(-np.log(data.n0) - logD).tobytes(), name
         assert model.U.tobytes() == U.tobytes(), name
 
 
@@ -515,7 +527,7 @@ def test_fitted_model_and_fused_data_arrays_are_read_only(rng):
     arrays = {f"{type(obj).__name__}.{f.name}": getattr(obj, f.name)
               for obj in (model, data) for f in dataclasses.fields(obj)
               if isinstance(getattr(obj, f.name), np.ndarray)}
-    assert len(arrays) == 12
+    assert len(arrays) == 14
     assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
 

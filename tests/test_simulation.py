@@ -106,10 +106,13 @@ def test_simconfig_validation():
             SimConfig(sizes=sizes)
     # counts must be integers: a J of 2.5 would integrate beyond M2
     for kwargs in ({"grid": (0, 10, 2.5)}, {"replications": 2.5},
-                   {"sizes": (50.5, 50, 50)}, {"sizes": (50, 50, "50")}):
+                   {"sizes": (50.5, 50, 50)}, {"sizes": (50, 50, "50")}, {"seed": 1.5}):
         with pytest.raises(ArityMismatch, match="integer"):
             SimConfig(**kwargs)
-    SimConfig(replications=np.int64(2), sizes=(np.int32(50),) * 3, grid=(0.0, 10.0, np.int64(8)))
+    with pytest.raises(ArityMismatch, match="seed"):   # SeedSequence takes no negative seed
+        SimConfig(seed=-1)
+    SimConfig(replications=np.int64(2), sizes=(np.int32(50),) * 3, grid=(0.0, 10.0, np.int64(8)),
+              seed=np.uint32(3))
 
 
 def test_run_comparison_smoke_single_replicate():
