@@ -37,7 +37,7 @@ from .inference import (
     threshold_probability,
     z_tests,
 )
-from .likelihood import fit, hessian, profile_loglik, score
+from .likelihood import fit
 from .simulation import (
     ComparisonTable,
     SimConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "Sample", "Sigma_matrix", "SimConfig", "SingularHessian",
     "SingularMatrix", "TestReport", "ThresholdEstimate",
     "TiltSpec", "chi_square_beta_test", "drm_cdf", "empirical_cdf",
-    "exp2_cdf", "fit", "generate", "gof_pairs", "hessian", "miae_mise",
-    "profile_loglik", "refine_tilts", "run_comparison", "score", "sigma_t",
-    "threshold_probability", "validate", "z_tests",
+    "exp2_cdf", "fit", "generate", "gof_pairs", "miae_mise", "refine_tilts",
+    "run_comparison", "sigma_t", "threshold_probability", "validate", "z_tests",
 ]

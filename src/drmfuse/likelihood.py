@@ -37,9 +37,13 @@ _STEP_HALVING_MAX = 40
 
 
 def _check_theta(theta: np.ndarray, data: FusedData) -> np.ndarray:
-    """The flat theta as a float array; ArityMismatch unless it has length
-    m + r and is 0 outside ``data.free`` (an empty tilt pins its alpha)."""
-    theta = np.asarray(theta, dtype=float)
+    """The flat theta as a float array; ArityMismatch unless it is numeric,
+    has length m + r and is 0 outside ``data.free`` (an empty tilt pins its
+    alpha)."""
+    try:
+        theta = np.asarray(theta, dtype=float)
+    except (TypeError, ValueError):
+        raise ArityMismatch(f"theta must be numeric, got a {type(theta).__name__}") from None
     if theta.shape != (data.m + data.r,):
         raise ArityMismatch(
             f"theta has shape {theta.shape}, expected ({data.m + data.r},) for the fused data"
@@ -49,11 +53,6 @@ def _check_theta(theta: np.ndarray, data: FusedData) -> np.ndarray:
     return theta
 
 
-def profile_loglik(theta: np.ndarray, data: FusedData) -> float:
-    """l(theta) at the flat theta; raises NonFinite if tilt exponents are not finite."""
-    return _loglik_parts(_check_theta(theta, data), data)[0]
-
-
 def _loglik_parts(theta: np.ndarray, data: FusedData):
     """(l, logD, U) at the flat theta, from one pass over the tilt exponents."""
     logD, U = log_denominators(theta, data)
@@ -61,16 +60,6 @@ def _loglik_parts(theta: np.ndarray, data: FusedData):
     if not np.isfinite(value):
         raise NonFinite("profile log-likelihood")
     return value, logD, U
-
-
-def score(theta: np.ndarray, data: FusedData) -> np.ndarray:
-    """Gradient of l at the flat theta, length m + r, in the same layout."""
-    return _score_hessian(log_denominators(_check_theta(theta, data), data)[1], data)[0]
-
-
-def hessian(theta: np.ndarray, data: FusedData) -> np.ndarray:
-    """Exact second derivative of l at the flat theta, (m+r)x(m+r), symmetric and <= 0."""
-    return _score_hessian(log_denominators(_check_theta(theta, data), data)[1], data)[1]
 
 
 def _score_hessian(U: np.ndarray, data: FusedData):
@@ -106,48 +95,24 @@ def _check_degenerate(data: FusedData):
         )
 
 
-def _start_theta(start: FittedModel, data: FusedData) -> np.ndarray:
-    """``start.theta`` embedded in ``data``'s layout by ``(nbr, col)``, 0
-    elsewhere; ArityMismatch unless ``start`` was fitted on the same Sample
-    objects and each of its coordinates appears in ``data``'s layout."""
-    fitted = start.data
-    if fitted.reference is not data.reference or fitted.m != data.m or any(
-            a is not b for (a, _), (b, _) in zip(fitted.neighbors, data.neighbors)):
-        raise ArityMismatch("the start was fitted on other samples than the fused data")
-    # flat index in data's layout of each (neighbor, column of X), -1 if absent
-    index = np.full(4 * data.m, -1)
-    index[4 * data.nbr + data.col] = np.arange(data.nbr.size)
-    at = index[4 * fitted.nbr + fitted.col]
-    if (at < 0).any():
-        raise ArityMismatch("the start's tilt is not contained in the fused data's tilt")
-    theta = np.zeros(data.m + data.r)
-    theta[at] = start.theta
-    return theta
-
-
 def _initial_theta(start, data: FusedData) -> np.ndarray:
-    """A fresh flat theta to start ``fit`` at: 0, a model's embedded theta, or
-    a copy of a checked, finite flat theta."""
+    """A fresh flat theta to start ``fit`` at: 0, or a copy of a checked,
+    finite flat theta."""
     if start is None:
         return np.zeros(data.m + data.r)
-    if isinstance(start, FittedModel):
-        return _start_theta(start, data)
     theta = _check_theta(start, data).copy()
     if not np.isfinite(theta).all():
         raise InputError("the start theta has a non-finite entry")
     return theta
 
 
-def fit(data: FusedData, start: FittedModel | np.ndarray | None = None) -> FittedModel:
+def fit(data: FusedData, start: np.ndarray | None = None) -> FittedModel:
     """Maximize the profile log-likelihood; returns the fitted model.
 
     One damped Newton loop on the flat theta. It begins at 0, or at
-    ``start``. A FittedModel start must be fitted on the same Sample objects
-    with each neighbor's tilt contained in its tilt here (else
-    ArityMismatch), so its theta is a point of this model, embedded with 0
-    on the extra coordinates. An array start is a flat theta in ``data``'s
-    layout, checked like ``profile_loglik``'s (ArityMismatch) and finite
-    (else InputError); the loop works on a copy. The loop and its stopping
+    ``start``, a flat theta in ``data``'s layout: of length m + r, 0 at
+    pinned alphas and numeric (else ArityMismatch), and finite (else
+    InputError); the loop works on a copy. The loop and its stopping
     rule are the same from any start, and l is concave, so every start
     reaches the same maximizer. Only the ``free`` coordinates move; the
     others stay pinned at 0. Each candidate costs one pass over the tilt

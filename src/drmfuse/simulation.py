@@ -210,10 +210,15 @@ def _replicate_errors(samples, grid) -> dict[str, tuple[float, float]]:
 
     The samples are fused once: the uniform fit's data lays the global tilts
     out over the refined fit's fused points (``retilt``). The refined fit
-    starts at ``REFINED_TRUTH`` and the uniform fit at the refined MLE."""
+    starts at ``REFINED_TRUTH`` and the uniform fit at the refined MLE, each
+    coordinate placed at its (neighbor, column) in the uniform layout and 0
+    elsewhere."""
     data = validate(list(samples), list(REFINED_TILTS))
     refined = likelihood.fit(data, start=REFINED_TRUTH)
-    uniform = likelihood.fit(retilt(data, list(UNIFORM_TILTS)), start=refined)
+    wide = retilt(data, list(UNIFORM_TILTS))
+    start = np.zeros(wide.m + wide.r)
+    start[[wide.pairs.index(p) for p in data.pairs]] = refined.theta
+    uniform = likelihood.fit(wide, start=start)
     iae, ise = miae_mise(lambda x: _replicate_cdfs(uniform, refined, x), exp2_cdf, grid)
     return {name: (float(iae[k]), float(ise[k])) for k, name in enumerate(ESTIMATORS)}
 

@@ -1,4 +1,5 @@
-"""Independent oracle for the Newton fitter: the two-loop route.
+"""Independent oracle for the Newton fitter: the two-loop route, and the
+profile log-likelihood with its score and Hessian at any flat theta.
 
 The package runs the fit as one loop whose polish tail is a flag on the
 iteration. This module keeps the earlier route: a damped Newton ascent with
@@ -7,14 +8,36 @@ routes share the package's exponent pass (``_loglik_parts``) and derivatives
 (``_score_hessian``), so tests compare them for equal iteration counts and
 bit-identical theta, log-likelihood, score norm, Hessian, weights and
 ratios U.
+
+``profile_loglik``, ``score`` and ``hessian`` evaluate l and its derivatives
+at a flat theta in the data's layout, checked as ``fit`` checks a start
+(ArityMismatch), for the finite-difference and derivative-free checks.
 """
 
 import numpy as np
 
 from drmfuse import likelihood
+from drmfuse._kernels import log_denominators
 from drmfuse.core import NoConvergence, NonFinite
 
 _EPS = np.finfo(float).eps
+
+
+def profile_loglik(theta, data):
+    """l(theta) at the flat theta; raises NonFinite if tilt exponents are not finite."""
+    return likelihood._loglik_parts(likelihood._check_theta(theta, data), data)[0]
+
+
+def score(theta, data):
+    """Gradient of l at the flat theta, length m + r, in the same layout."""
+    U = log_denominators(likelihood._check_theta(theta, data), data)[1]
+    return likelihood._score_hessian(U, data)[0]
+
+
+def hessian(theta, data):
+    """Exact second derivative of l at the flat theta, (m+r)x(m+r), symmetric and <= 0."""
+    U = log_denominators(likelihood._check_theta(theta, data), data)[1]
+    return likelihood._score_hessian(U, data)[1]
 
 
 def fit_core(data):

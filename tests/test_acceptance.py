@@ -25,17 +25,16 @@ from drmfuse import (
     exp2_cdf,
     fit,
     generate,
-    hessian,
-    profile_loglik,
     refine_tilts,
     run_comparison,
-    score,
     sigma_t,
     threshold_probability,
     validate,
 )
 from drmfuse import simulation
 from drmfuse._kernels import eta_matrix
+
+from newton_oracle import hessian, profile_loglik, score
 
 REFINED = [TiltSpec.parse("logx"), TiltSpec.parse("x,log2x")]
 

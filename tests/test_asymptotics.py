@@ -8,7 +8,6 @@ from drmfuse import (
     TiltSpec,
     drm_cdf,
     fit,
-    hessian,
     sigma_t,
     threshold_probability,
     validate,
@@ -18,6 +17,7 @@ from drmfuse import _kernels, asymptotics, inference, likelihood, simulation
 
 import blocks_oracle as oracle
 from conftest import make_fused, make_pair
+from newton_oracle import hessian
 
 
 def _equidistributed_pair(rng, n0=400, n1=300, tilt="x"):

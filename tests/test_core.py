@@ -145,3 +145,13 @@ def test_public_names_resolve():
     import drmfuse
     missing = [name for name in drmfuse.__all__ if not hasattr(drmfuse, name)]
     assert missing == []
+
+
+def test_all_lists_every_public_name():
+    # the export list and the package's imports cannot drift apart: every
+    # public name bound in the package, submodules aside, is in __all__
+    import types
+    import drmfuse
+    public = {name for name, value in vars(drmfuse).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(drmfuse.__all__) == sorted(public)

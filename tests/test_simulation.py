@@ -150,7 +150,8 @@ def test_mise_decreases_when_n_doubles():
 
 def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
     # each replicate's refined fit is started at the true theta and its
-    # uniform fit at the refined model fitted on the same samples, and the
+    # uniform fit at the refined MLE of the same samples, each coordinate at
+    # its (neighbor, column) in the uniform layout and 0 elsewhere, and the
     # table matches cold starts of both fits
     cfg = SimConfig(replications=6, sizes=(300, 300, 300), seed=11)
     real_fit = simulation.likelihood.fit
@@ -167,7 +168,13 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
     warm_iterations = cold_iterations = refined_iterations = cold_refined_iterations = 0
     for (refined_data, truth, refined), (uniform_data, start, uniform) in zip(
             calls[::2], calls[1::2]):
-        assert truth is REFINED_TRUTH and start is refined
+        assert truth is REFINED_TRUTH
+        by_coordinate = dict(zip(zip(uniform_data.nbr.tolist(), uniform_data.col.tolist()),
+                                 start.tolist()))
+        for k, c, value in zip(refined_data.nbr.tolist(), refined_data.col.tolist(),
+                               refined.theta.tolist()):
+            assert by_coordinate.pop((k, c)) == value
+        assert set(by_coordinate.values()) == {0.0}
         assert [spec for _, spec in refined_data.neighbors] == list(simulation.REFINED_TILTS)
         assert [spec for _, spec in uniform_data.neighbors] == list(simulation.UNIFORM_TILTS)
         warm_iterations += uniform.iterations
@@ -211,8 +218,12 @@ def test_replicate_columns_are_the_three_cdfs_bit_for_bit():
     # CDF exactly, so each estimator's errors are those of its own CDF
     samples = generate(12, (400, 300, 350))
     grid = (0.0, 10.0, 1000)
-    refined = fit(validate(list(samples), list(simulation.REFINED_TILTS)), start=REFINED_TRUTH)
-    uniform = fit(validate(list(samples), list(simulation.UNIFORM_TILTS)), start=refined)
+    refined_data = validate(list(samples), list(simulation.REFINED_TILTS))
+    refined = fit(refined_data, start=REFINED_TRUTH)
+    uniform_data = validate(list(samples), list(simulation.UNIFORM_TILTS))
+    start = np.zeros(uniform_data.m + uniform_data.r)
+    start[[uniform_data.pairs.index(p) for p in refined_data.pairs]] = refined.theta
+    uniform = fit(uniform_data, start=start)
     cdfs = {"uniform": lambda x: drm_cdf(uniform, x),
             "refined": lambda x: drm_cdf(refined, x),
             "empirical": lambda x: empirical_cdf(samples[0], x)}
