@@ -18,7 +18,7 @@ from drmfuse import (
     fit,
     validate,
 )
-from drmfuse.core import basis_matrix
+from drmfuse.core import basis_matrix, retilt
 from drmfuse import _kernels, likelihood
 from drmfuse.simulation import REFINED_TILTS, REFINED_TRUTH, UNIFORM_TILTS, generate
 
@@ -411,6 +411,23 @@ def test_fit_from_a_nested_start_reaches_the_same_maximizer():
     empty = fit(validate(samples, [TiltSpec(()), TiltSpec(())]))
     assert np.allclose(fit(du, start=_embedded(empty, du)).theta, cold.theta,
                        rtol=1e-10, atol=0.0)
+
+
+def test_fit_start_embeds_by_neighbor_and_column():
+    # the start's coordinates land at the same (neighbor, column) of the
+    # larger layout, whatever their order in each tilt; the rest start at 0;
+    # retilt lays the same fused points out, so the fit from there reaches
+    # the cold fit's maximizer
+    samples = list(generate(5, (300, 300, 300)))
+    start = fit(validate(samples, [TiltSpec.parse("log2x,x"), TiltSpec(())]))
+    data = retilt(start.data, [TiltSpec.parse("logx,x,log2x"), TiltSpec.parse("x")])
+    theta = _embedded(start, data)
+    by_coordinate = dict(zip(zip(data.nbr.tolist(), data.col.tolist()), theta.tolist()))
+    for k, c, value in zip(start.data.nbr.tolist(), start.data.col.tolist(),
+                           start.theta.tolist()):
+        assert by_coordinate.pop((k, c)) == value
+    assert set(by_coordinate.values()) == {0.0}
+    assert np.allclose(fit(data, start=theta).theta, fit(data).theta, rtol=1e-10, atol=0.0)
 
 
 def test_fit_checks_a_flat_theta_start():
