@@ -79,7 +79,9 @@ def tilt_design(U: np.ndarray, data: FusedData, out: np.ndarray | None = None) -
     given.
 
     ``U[:, k] = rho_k w_k / D``; column j is neighbor nbr[j]'s ratio times
-    its column col[j] of X, so the first m columns are U itself.
+    its column col[j] of X, so the first m columns are U itself. ``out`` may
+    be a column block of a wider column-major buffer, such as the Psi block
+    of ``[X | Psi]`` that the Newton derivative pass multiplies in one product.
     """
     m = data.m
     Psi = np.empty((data.n, len(data.pairs)), order="F") if out is None else out

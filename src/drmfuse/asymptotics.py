@@ -36,8 +36,7 @@ def _sym_inverse(S: np.ndarray, what: str) -> np.ndarray:
     if vals[0] <= 0 or vals[-1] / vals[0] > _COND_LIMIT:
         raise SingularMatrix(
             f"{what} is singular or ill-conditioned "
-            f"(eigenvalues in [{vals[0]:.3e}, {vals[-1]:.3e}])",
-            smallest_eigenvalue=float(vals[0]),
+            f"(eigenvalues in [{vals[0]:.3e}, {vals[-1]:.3e}])"
         )
     return (vecs / vals) @ vecs.T
 

@@ -83,9 +83,7 @@ class SingularHessian(NumericalError):
 
 
 class SingularMatrix(NumericalError):
-    def __init__(self, msg: str, smallest_eigenvalue: float | None = None):
-        super().__init__(msg)
-        self.smallest_eigenvalue = smallest_eigenvalue
+    """A matrix to invert is not positive definite or is ill-conditioned."""
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,26 @@ def _loglik_parts(theta: np.ndarray, data: FusedData):
     return value, logD, U
 
 
-def _score_hessian(U: np.ndarray, data: FusedData):
-    """(s, H) from the ratios U = rho_k w_k / D of one theta."""
-    # Psi_ij = u_{i,nbr[j]} x_{i,col[j]}; row 0 of G = X' Psi holds the column
-    # sums of Psi, so the score is the observed statistic minus that row
-    Psi = tilt_design(U, data)
-    G = data.X.T @ Psi
+def _derivative_buffer(data: FusedData) -> np.ndarray:
+    """Z = [X | Psi] for ``_score_hessian``: column-major, shape (n, c + m + r)
+    with X's c columns filled in and the Psi block left to each call."""
+    c = data.X.shape[1]
+    Z = np.empty((data.n, c + len(data.pairs)), order="F")
+    Z[:, :c] = data.X
+    return Z
+
+
+def _score_hessian(U: np.ndarray, data: FusedData, Z: np.ndarray):
+    """(s, H) from the ratios U = rho_k w_k / D of one theta. ``Z`` is a
+    buffer from ``_derivative_buffer(data)``; its Psi block is overwritten."""
+    # Psi_ij = u_{i,nbr[j]} x_{i,col[j]}, written beside X in Z = [X | Psi], so
+    # one product Z' Psi gives G = X' Psi and Psi' Psi. Psi.T @ Psi would pass
+    # numpy one buffer twice, which it sends to BLAS syrk, slower than gemm at
+    # these shapes. Row 0 of G holds the column sums of Psi, so the score is
+    # the observed statistic minus that row
+    c = data.X.shape[1]
+    GH = Z.T @ tilt_design(U, data, out=Z[:, c:])
+    G = GH[:c]
     s = data.obs - G[0]
     if not np.isfinite(s).all():
         raise NonFinite("score")
@@ -75,7 +89,7 @@ def _score_hessian(U: np.ndarray, data: FusedData):
     # d2 log D / d eta_k d eta_k' is the softmax covariance u_k (delta - u_k'),
     # so H = Psi' Psi minus, for each pair (j, j') of one neighbor,
     # X[:, col[j]]' Psi[:, j'] = G[col[j], j']
-    H = Psi.T @ Psi
+    H = GH[c:]
     H -= np.where(data.same, G[data.col], 0.0)
     H = 0.5 * (H + H.T)   # exact symmetry despite BLAS rounding
     if not np.isfinite(H).all():
@@ -140,7 +154,8 @@ def fit(data: FusedData, start: np.ndarray | None = None) -> FittedModel:
         free = sub = slice(None)
     theta = _initial_theta(start, data)
     l, logD, U = _loglik_parts(theta, data)
-    s_full, H_full = _score_hessian(U, data)
+    Z = _derivative_buffer(data)   # one per fit: X is copied in once
+    s_full, H_full = _score_hessian(U, data, Z)
     s, H = s_full[free], H_full[sub]
     sn = float(np.max(np.abs(s))) if s.size else 0.0
     iterations = polished = 0
@@ -165,7 +180,7 @@ def fit(data: FusedData, start: np.ndarray | None = None) -> FittedModel:
                 l2, logD2, U2 = _loglik_parts(cand, data)
                 if l2 < l - 4 * _EPS * max(1.0, abs(l)):
                     continue
-                s2_full, H2_full = _score_hessian(U2, data)
+                s2_full, H2_full = _score_hessian(U2, data, Z)
             except NonFinite:
                 continue
             sn2 = float(np.max(np.abs(s2_full[free])))

@@ -31,13 +31,13 @@ def profile_loglik(theta, data):
 def score(theta, data):
     """Gradient of l at the flat theta, length m + r, in the same layout."""
     U = log_denominators(likelihood._check_theta(theta, data), data)[1]
-    return likelihood._score_hessian(U, data)[0]
+    return likelihood._score_hessian(U, data, likelihood._derivative_buffer(data))[0]
 
 
 def hessian(theta, data):
     """Exact second derivative of l at the flat theta, (m+r)x(m+r), symmetric and <= 0."""
     U = log_denominators(likelihood._check_theta(theta, data), data)[1]
-    return likelihood._score_hessian(U, data)[1]
+    return likelihood._score_hessian(U, data, likelihood._derivative_buffer(data))[1]
 
 
 def fit_core(data):
@@ -47,7 +47,8 @@ def fit_core(data):
     theta = np.zeros(data.m + data.r)
 
     l, logD, U = likelihood._loglik_parts(theta, data)
-    s_full, H_full = likelihood._score_hessian(U, data)
+    Z = likelihood._derivative_buffer(data)
+    s_full, H_full = likelihood._score_hessian(U, data, Z)
     s = s_full[free]
     H = H_full[sub]
     iterations = 0
@@ -79,7 +80,7 @@ def fit_core(data):
             if l2 >= l - 4 * _EPS * max(1.0, abs(l)):
                 # an ascent is accepted; a float-stationary l only if the step
                 # still shrinks the score
-                s2_full, H2_full = likelihood._score_hessian(U2, data)
+                s2_full, H2_full = likelihood._score_hessian(U2, data, Z)
                 if l2 > l or np.max(np.abs(s2_full[free])) < sn:
                     theta, l, logD, U = cand, l2, logD2, U2
                     s_full, H_full = s2_full, H2_full
@@ -105,7 +106,7 @@ def fit_core(data):
         cand[free] += d
         try:
             l2, logD2, U2 = likelihood._loglik_parts(cand, data)
-            s2_full, H2_full = likelihood._score_hessian(U2, data)
+            s2_full, H2_full = likelihood._score_hessian(U2, data, Z)
         except NonFinite:
             break
         sn2 = float(np.max(np.abs(s2_full[free])))

@@ -12,7 +12,7 @@ import drmfuse
 import drmfuse.cli as cli
 import ingest_oracle
 from conftest import cli_ingest
-from drmfuse import GLOBAL_TILT, TiltSpec, validate
+from drmfuse import GLOBAL_TILT, TiltSpec, inference, likelihood, simulation, validate
 from drmfuse.cli import (
     ConfigError,
     EmptyAfterFilter,
@@ -307,6 +307,33 @@ def test_cmd_fit_output(radon_csv, capsys):
     assert any(line.startswith("# loglik=") for line in out)
 
 
+@pytest.mark.parametrize("tilt", ["global", "x,logx;"])
+def test_cmd_fit_se_is_the_sigma_diagonal_over_n(radon_csv, capsys, tilt):
+    # the se of each free coordinate is sqrt(Sigma_jj / n) from the library's
+    # fit; the alpha of an empty tilt is pinned, with estimate and se 0
+    assert main(["fit", *_flags(radon_csv, "--tilt", tilt)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
+            if not line.startswith("#")]
+    printed = {(region, term): (float(est), float(se)) for region, term, est, se in rows}
+    samples = cli_ingest(radon_csv, ["Beaver", "Butler", "Allegheny"], None)[0]
+    specs = [GLOBAL_TILT] * 2 if tilt == "global" else parse_tilt_string(tilt, 2)
+    fitted = likelihood.fit(validate(samples, specs))
+    data = fitted.data
+    assert len(printed) == data.m + data.r
+    terms = ["alpha"] + [b.value for b in GLOBAL_TILT.basis]
+    for j in range(data.m + data.r):
+        key = (data.neighbors[data.nbr[j]][0].label, terms[data.col[j]])
+        est, se = printed[key]
+        assert est == fitted.theta[j], key
+        if j in data.free:
+            assert se == pytest.approx(math.sqrt(fitted.Sigma[j, j] / data.n), rel=1e-12), key
+            assert se > 0, key
+        else:
+            assert (est, se) == (0.0, 0.0), key
+    if tilt != "global":
+        assert printed[("Allegheny", "alpha")] == (0.0, 0.0)
+
+
 def test_cmd_refine_table_shape(radon_csv, capsys):
     rc = main(["refine", *_flags(radon_csv)])
     assert rc == 0
@@ -363,6 +390,21 @@ def test_cmd_threshold_block_shape(radon_csv, capsys):
     row = emp[0].split(",")
     prob, lo, hi = float(row[2]), float(row[4]), float(row[5])
     assert lo <= prob <= hi
+
+
+def test_cmd_threshold_empirical_rows_come_from_the_reference(radon_csv, capsys):
+    thresholds = [2.0, 5.0, 10.0, 25.0]
+    assert main(["threshold", *_flags(radon_csv, "--tilt", "global", "--thresholds",
+                                      ",".join(map(str, thresholds)))]) == 0
+    rows = [row for row in csv.reader(capsys.readouterr().out.splitlines()[1:])
+            if row[0] == "empirical"]
+    reference = cli_ingest(radon_csv, ["Beaver", "Butler", "Allegheny"], None)[0][0]
+    assert reference.label == "Beaver"
+    expected = inference.threshold_probability(reference, thresholds)
+    assert len(rows) == len(expected)
+    for row, est in zip(rows, expected):
+        assert float(row[1]) == est.T
+        assert [float(v) for v in row[2:]] == [est.prob, est.se, *est.ci, *est.ci_clamped]
 
 
 def test_cmd_threshold_tiny_alpha_gives_finite_intervals(radon_csv, capsys):
@@ -442,6 +484,33 @@ def test_cmd_simulate_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0] == "estimator,metric,value,mc_se,I,n"
+
+
+def test_cmd_simulate_mc_se_is_the_replicate_spread(capsys):
+    # unequal sizes and a grid that starts off 0; each replicate's errors come
+    # from its documented seed, and mc_se is their sample sd (ddof=1) / sqrt(I)
+    sizes, grid, reps, seed = (300, 200, 250), (0.5, 6.0, 40), 5, 4
+    assert main(["simulate", "--reps", str(reps), "--sizes", ",".join(map(str, sizes)),
+                 "--grid", ",".join(map(str, grid)), "--seed", str(seed)]) == 0
+    captured = capsys.readouterr()
+    assert f"(failures excluded: 0), n0={sizes[0]}" in captured.err
+    printed = {(row[0], row[1]): row[2:] for row in
+               csv.reader(captured.out.splitlines()[1:])}
+    errors = [simulation._replicate_errors(
+        simulation.generate(np.random.SeedSequence(seed, spawn_key=(i,)), sizes), grid)
+        for i in range(reps)]
+    for name in simulation.ESTIMATORS:
+        per = np.array([e[name] for e in errors])   # (I, 2): IAE, ISE
+        for k, metric in enumerate(("miae", "mise")):
+            value, mc_se, i_used, n = printed[(name, metric)]
+            assert float(value) == pytest.approx(per[:, k].mean(), rel=1e-12)
+            assert float(mc_se) == pytest.approx(
+                per[:, k].std(ddof=1) / math.sqrt(reps), rel=1e-12)
+            assert (int(i_used), int(n)) == (reps, sizes[0])
+    # the grid's step is (M2 - M1) / J: a unit error integrates to M2 - M1
+    iae, ise = simulation.miae_mise(lambda x: np.zeros((x.size, 1)),
+                                    lambda x: np.ones(x.size), grid)
+    assert (iae[0], ise[0]) == pytest.approx((grid[1] - grid[0],) * 2, rel=1e-12)
 
 
 def test_cached_parser_matches_a_fresh_one(radon_csv, capsys, monkeypatch):

@@ -194,6 +194,21 @@ def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
         assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
 
 
+def test_score_hessian_reject_non_finite_derivatives(rng):
+    data = make_fused(rng)
+    U = _kernels.log_denominators(np.zeros(data.m + data.r), data)[1]
+    U[3, 0] = np.inf
+    Z = likelihood._derivative_buffer(data)
+    with pytest.raises(NonFinite, match="score"):
+        likelihood._score_hessian(U, data, Z)
+    # ratios near 1e200 keep the column sums, and so the score, finite, while
+    # the products in Psi' Psi overflow; matmul warns of that before the check
+    U = np.full((data.n, data.m), 1e200, order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="hessian"):
+            likelihood._score_hessian(U, data, Z)
+
+
 def _fd_score(theta, data, h=1e-6):
     out = np.empty(theta.size)
     for j in range(theta.size):
@@ -329,9 +344,9 @@ def test_fit_monotone_ascent(rng, monkeypatch):
         evaluated.append((out[2], theta))   # the ratios U of this candidate
         return out
 
-    def recording_derivatives(U, data):
+    def recording_derivatives(U, data, Z):
         visited.append(next(th for u, th in evaluated if u is U))
-        return score_hessian(U, data)
+        return score_hessian(U, data, Z)
 
     monkeypatch.setattr(likelihood, "_loglik_parts", recording_loglik)
     monkeypatch.setattr(likelihood, "_score_hessian", recording_derivatives)
