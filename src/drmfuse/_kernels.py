@@ -96,13 +96,16 @@ def at_or_below(t: np.ndarray, T, weights: np.ndarray | None = None) -> np.ndarr
     or with ``weights`` of shape (n, c) the per-column sums of their rows,
     shape (K, c). This is the package's one CDF evaluator.
 
-    Only the K thresholds are sorted, never t: b_i = searchsorted(sorted T, t_i,
-    "left") is the number of thresholds below t_i, so point i counts toward
-    the threshold of rank r exactly when b_i <= r. Binning on b and a
-    cumulative sum over the first K bins cost O(n log K). A tied threshold
-    reads the same sum from an empty bin, so the result does not depend on
-    the order of T. A NaN threshold is an InputError, and a T that is not 1-d
-    an ArityMismatch.
+    b_i, the number of thresholds below t_i, puts point i toward the
+    threshold of rank r exactly when b_i <= r. The points are sorted once and
+    the sorted thresholds merged into them: the points between the ends of
+    thresholds r - 1 and r (searchsorted "right") have b_i = r. Searching
+    sorted keys keeps the binary searches predictable, which searching the n
+    unsorted points in the K thresholds does not. Binning on b and a
+    cumulative sum over the first K bins then cost O(n log n + K log K) with
+    one sort of the records per call. A tied threshold reads the same sum
+    from an empty bin, so the result does not depend on the order of T. A
+    NaN threshold is an InputError, and a T that is not 1-d an ArityMismatch.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 1:
@@ -112,7 +115,10 @@ def at_or_below(t: np.ndarray, T, weights: np.ndarray | None = None) -> np.ndarr
         raise InputError(f"threshold at position {int(np.argmax(nan))} is NaN")
     K = T.size
     order = np.argsort(T, kind="stable")
-    b = np.searchsorted(T[order], t, side="left")
+    keys = np.argsort(t)
+    ends = np.searchsorted(t[keys], T[order], side="right")
+    b = np.empty(t.size, dtype=np.intp)
+    b[keys] = np.repeat(np.arange(K + 1), np.diff(np.concatenate(([0], ends, [t.size]))))
     if weights is None:
         binned = np.bincount(b, minlength=K + 1)[:K]
     else:

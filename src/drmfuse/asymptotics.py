@@ -13,8 +13,8 @@ all-ones matrix, and the pointwise variance of sqrt(n)(Gtilde(t) - G(t)) is
 
 where G(t), A_k(t) = int^t w_k / D dG and B_k(t) = int^t w_k h_k / D dG are
 estimated by p-weighted sums over the fused points at or below t. Those sums
-are binned on the K thresholds (``_kernels.at_or_below``), so the fused
-points are never sorted and a call costs O(n log K).
+are binned on the K thresholds (``_kernels.at_or_below``), which sorts the
+fused points once per call, so a call costs O(n log n + K log K).
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def sigma_t(fit: FittedModel, T) -> tuple[np.ndarray, np.ndarray]:
     than the rounding residue of the formula's cancelling terms. G and the
     partial sums behind A and B are the sums of their integrands over the
     fused points at or below each threshold, binned on the thresholds by
-    ``at_or_below`` with the fit's ratios ``U``: O(n log K) for K
-    thresholds, without sorting the fused points, and one quadratic form in
+    ``at_or_below`` with the fit's ratios ``U``: O(n log n + K log K) for K
+    thresholds, with one sort of the fused points, and one quadratic form in
     S^{-1} per threshold. A NaN threshold is an InputError and a T that is
     not 1-d an ArityMismatch."""
     data = fit.data

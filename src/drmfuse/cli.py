@@ -64,13 +64,11 @@ class ParseError(InputError):
 class UnknownRegion(InputError):
     def __init__(self, region: str):
         super().__init__(f"region {region!r} has no rows in the input file")
-        self.region = region
 
 
 class EmptyAfterFilter(InputError):
     def __init__(self, region: str):
         super().__init__(f"region {region!r} has no usable rows after filtering")
-        self.region = region
 
 
 # Rows read per block. A block bounds the reader's working memory whatever the

@@ -38,21 +38,17 @@ class InputError(DrmError):
 class NonPositiveValue(InputError):
     def __init__(self, label: str, index: int, value: float):
         super().__init__(f"sample {label!r} has non-positive value {value!r} at index {index}")
-        self.sample_label = label
         self.index = index
-        self.value = value
 
 
 class EmptySample(InputError):
     def __init__(self, label: str):
         super().__init__(f"sample {label!r} is empty")
-        self.sample_label = label
 
 
 class DuplicateBasis(InputError):
     def __init__(self, basis: "Basis"):
         super().__init__(f"duplicate tilt basis element {basis.value!r}")
-        self.basis = basis
 
 
 class ArityMismatch(InputError):

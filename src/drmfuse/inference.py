@@ -190,11 +190,11 @@ def threshold_probability(
     A FittedModel source takes G(t) and the variance sigma(t)/n from
     ``asymptotics.sigma_t``; a Sample source counts its values above each t
     and takes the binomial Wald variance p(1-p)/n_0. Both bin the values on
-    the thresholds (``_kernels.at_or_below``, O(n log K) for K thresholds)
-    and sort no array of n values. A NaN threshold is an InputError and a T
-    that is not 1-d an ArityMismatch; -inf and +inf give 1 and 0. Intervals
-    are reported raw (they may cross 0 or 1); see ci_clamped for the
-    truncated version.
+    the thresholds (``_kernels.at_or_below``, O(n log n + K log K) for K
+    thresholds, with one sort of the n values). A NaN threshold is an
+    InputError and a T that is not 1-d an ArityMismatch; -inf and +inf give
+    1 and 0. Intervals are reported raw (they may cross 0 or 1); see
+    ci_clamped for the truncated version.
     """
     if not 0.0 < level < 1.0:
         raise ArityMismatch(f"confidence level must be in (0, 1), got {level!r}")

@@ -15,6 +15,7 @@ from drmfuse import (
 
 from drmfuse import _kernels, asymptotics, inference, likelihood, simulation
 
+import binning_oracle
 import blocks_oracle as oracle
 from conftest import make_fused, make_pair
 from newton_oracle import hessian
@@ -270,6 +271,32 @@ def test_at_or_below_matches_a_direct_count(rng):
     assert np.max(np.abs(_kernels.at_or_below(t, T, W) - below @ W)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", [
+    "ties", "duplicates_shuffled", "infinite", "K0", "K1", "K_above_n",
+    "all_below", "all_above",
+])
+def test_at_or_below_equals_the_unsorted_key_oracle_bitwise(rng, case):
+    # the sorted-key merge finds the same bins as one search per point, so
+    # counts and weighted sums add in the same order, bit for bit
+    t = np.round(rng.exponential(1.0, 300), 1)   # tied points
+    W = np.asfortranarray(rng.normal(size=(t.size, 3)))
+    T = {
+        "ties": t[:40],
+        "duplicates_shuffled": rng.permutation(np.concatenate([t[:30], t[:30], t[5:15]])),
+        "infinite": np.array([np.inf, 0.3, -np.inf, np.inf, 1.0, -np.inf]),
+        "K0": np.empty(0),
+        "K1": t[:1],
+        "K_above_n": rng.permutation(np.concatenate([t, rng.exponential(1.0, 200)])),
+        "all_below": np.linspace(-3.0, -1.0, 25),
+        "all_above": np.linspace(t.max(), t.max() + 5.0, 25),
+    }[case]
+    for weights in (None, W):
+        got = _kernels.at_or_below(t, T, weights)
+        want = binning_oracle.at_or_below(t, T, weights)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_threshold_results_follow_the_order_of_T(rng):
     # repeats, fused points, midpoints, values below the minimum and +-inf
     model = fit(make_fused(rng, sizes=(200, 150, 120)))
@@ -288,25 +315,34 @@ def test_threshold_results_follow_the_order_of_T(rng):
             assert threshold_probability(source, T[perm]) == tuple(est[i] for i in perm)
 
 
-def test_threshold_path_sorts_no_records(rng, monkeypatch):
-    # only the K thresholds may be sorted: any sort of n or more elements fails
+def _count_record_sorts(monkeypatch, limit):
+    # every np.argsort, np.sort or np.unique of at least ``limit`` elements is
+    # recorded by size; smaller ones (the thresholds) pass unrecorded
+    sizes = []
+    for name in ("argsort", "sort", "unique"):
+        def counted(a, *args, _orig=getattr(np, name), **kwargs):
+            if np.size(a) >= limit:
+                sizes.append(np.size(a))
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return sizes
+
+
+def test_threshold_path_sorts_the_records_once_per_call(rng, monkeypatch):
+    # each threshold_probability source sorts its records exactly once,
+    # in its one at_or_below call, never once per threshold
     model = fit(make_fused(rng))
     sources = (model, model.data.reference)
-    limit = model.data.reference.n   # the smaller record count of the two sources
     T = np.quantile(model.data.t, np.linspace(0.0, 1.0, 25))
     expected = [threshold_probability(source, T) for source in sources]
-    for name in ("argsort", "sort", "unique"):
-        def guarded(a, *args, _orig=getattr(np, name), _name=name, **kwargs):
-            if np.size(a) >= limit:
-                raise AssertionError(f"np.{_name} on {np.size(a)} elements")
-            return _orig(a, *args, **kwargs)
-        monkeypatch.setattr(np, name, guarded)
+    sizes = _count_record_sorts(monkeypatch, model.data.reference.n)
     assert [threshold_probability(source, T) for source in sources] == expected
+    assert sizes == [model.data.n, model.data.reference.n]
 
 
-def test_cdf_and_simulation_paths_sort_no_records(monkeypatch):
+def test_cdf_and_simulation_paths_sort_the_records_once_per_call(monkeypatch):
     # drm_cdf over the fused records and a Monte Carlo replicate's three
-    # estimators sort only their evaluation points, never n0 or more records
+    # estimators each sort the fused points exactly once
     samples = simulation.generate(7, (200, 200, 200))
     model = fit(validate(list(samples), list(simulation.REFINED_TILTS)))
     grid = (0.0, 5.0, 50)
@@ -317,14 +353,9 @@ def test_cdf_and_simulation_paths_sort_no_records(monkeypatch):
                 simulation._replicate_errors(samples, grid))
 
     expected = outputs()
-    limit = samples[0].n
-    for name in ("argsort", "sort", "unique"):
-        def guarded(a, *args, _orig=getattr(np, name), _name=name, **kwargs):
-            if np.size(a) >= limit:
-                raise AssertionError(f"np.{_name} on {np.size(a)} elements")
-            return _orig(a, *args, **kwargs)
-        monkeypatch.setattr(np, name, guarded)
+    sizes = _count_record_sorts(monkeypatch, samples[0].n)
     assert outputs() == expected
+    assert sizes == [model.data.n] * 2
 
 
 def test_Sigma_beta_block_is_that_of_S_inverse(rng):

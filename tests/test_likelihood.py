@@ -557,6 +557,21 @@ def test_fit_degenerate_tilt_raises():
         fit(data)
 
 
+def test_fit_degenerate_tilt_names_its_component_and_neighbor(rng):
+    # on values from {0.5, 2}, log^2 x = (log 2)^2 is constant while x and
+    # log x vary, so only neighbor b's log2x component is degenerate
+    def draw(size):
+        return rng.choice([0.5, 2.0], size)
+
+    data = validate(
+        [Sample.reference("r", draw(40)), Sample.neighbor("a", draw(30)),
+         Sample.neighbor("b", draw(30))],
+        [TiltSpec.parse("x"), TiltSpec.parse("x,log2x")],
+    )
+    with pytest.raises(SingularHessian, match="'log2x' of neighbor 'b' is constant"):
+        fit(data)
+
+
 def test_fit_no_convergence_when_budget_too_small(rng, monkeypatch):
     data = make_fused(rng)
     monkeypatch.setattr(likelihood, "_MAX_ITERATIONS", 2)

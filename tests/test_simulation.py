@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import expon, gamma as gamma_dist, lognorm
@@ -197,20 +199,20 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
 
 
 def test_replicate_bins_the_fused_points_once(monkeypatch):
-    # the three CDFs of a replicate come from one searchsorted of the fused
-    # points into the grid, not one per estimator
+    # the three CDFs of a replicate come from one search between the fused
+    # points and the grid, not one per estimator
     cfg = SimConfig(replications=4, sizes=(200, 200, 200), seed=5)
     calls = []
     real = np.searchsorted
 
-    def spy(*args, **kwargs):
-        calls.append(np.size(args[1]))
-        return real(*args, **kwargs)
+    def spy(a, v, *args, **kwargs):
+        calls.append({np.size(a), np.size(v)})
+        return real(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", spy)
     table = run_comparison(cfg)
     assert table.failures == 0
-    assert calls == [sum(cfg.sizes)] * cfg.replications
+    assert calls == [{sum(cfg.sizes), cfg.grid[2]}] * cfg.replications
 
 
 def test_replicate_columns_are_the_three_cdfs_bit_for_bit():
@@ -247,6 +249,39 @@ def test_run_comparison_counts_and_aborts_on_failures(monkeypatch):
     monkeypatch.setattr(simulation.likelihood, "fit", exploding_fit)
     with pytest.raises(ExcessiveFailures):
         run_comparison(SimConfig(replications=10, sizes=(50, 50, 50), seed=0))
+
+
+def _failing_replicates(monkeypatch, failing):
+    # stand-in replicate errors: call i fails when i is in ``failing`` and
+    # otherwise gives every estimator (i, i^2)
+    calls = itertools.count()
+
+    def replicate(samples, grid):
+        i = next(calls)
+        if i in failing:
+            raise NoConvergence(5, 1.0)
+        return {name: (float(i), float(i * i)) for name in ESTIMATORS}
+
+    monkeypatch.setattr(simulation, "_replicate_errors", replicate)
+
+
+def test_run_comparison_excludes_one_failed_replicate_of_ten(monkeypatch):
+    _failing_replicates(monkeypatch, {3})
+    table = run_comparison(SimConfig(replications=10, sizes=(50, 50, 50), seed=0))
+    assert (table.failures, table.replications_used) == (1, 9)
+    errors = np.array([(i, i * i) for i in range(10) if i != 3], dtype=float)
+    se = errors.std(axis=0, ddof=1) / np.sqrt(9)
+    for row in table.rows:
+        assert (row.miae, row.mise) == (errors[:, 0].mean(), errors[:, 1].mean())
+        assert (row.miae_se, row.mise_se) == (se[0], se[1])
+
+
+def test_run_comparison_aborts_on_two_failed_replicates_of_ten(monkeypatch):
+    # more than 10% of the replicates fail
+    _failing_replicates(monkeypatch, {2, 7})
+    with pytest.raises(ExcessiveFailures) as exc:
+        run_comparison(SimConfig(replications=10, sizes=(50, 50, 50), seed=0))
+    assert (exc.value.failures, exc.value.total) == (2, 10)
 
 
 def test_table_text_and_delimited_shapes():
