@@ -21,12 +21,26 @@ Seeding: replicate i draws from numpy's default generator seeded with
 SeedSequence(seed, spawn_key=(i,)), sampling the reference, gamma and
 lognormal vectors in that order. The mapping is stable across runs, so equal
 seeds give bit-identical tables.
+
+Workers: the replicates 0..R-1 are split into contiguous chunks, one per CPU
+in this process's affinity mask (at most R). The calling process runs the
+first chunk and a forked child runs each other one, sending its replicates'
+errors back through a pipe. The parent counts them in replicate order, so
+tables, failure counts and the 10% abort do not depend on the worker count.
+Work a child does is not seen by profilers or tracers in the calling process,
+nor counted in its ``RUSAGE_SELF``.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass, field
+import os
+import pickle
+import threading
+from contextlib import suppress
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,10 +142,9 @@ def miae_mise(estimate, truth, grid: tuple[float, float, int]):
     """Single-replicate integrated absolute and squared CDF error.
 
     ``estimate`` and ``truth`` are callables on the 1-d array of evaluation
-    points M1 + j*delta for j = 1..J. ``truth`` returns J values. ``estimate``
-    returns J values, giving a pair of floats, or a (J, c) array with one
-    column per estimator, giving a pair of length-c arrays; each column's
-    errors are summed exactly as a 1-d estimate's.
+    points M1 + j*delta for j = 1..J. ``truth`` returns J values.
+    ``estimate`` returns a (J, c) array with one column per estimator, giving
+    a pair of length-c arrays.
     """
     m1, m2, j = grid
     if not (m2 > m1 and _count(j, "grid size") >= 1):
@@ -141,8 +154,7 @@ def miae_mise(estimate, truth, grid: tuple[float, float, int]):
     estimates = np.asarray(estimate(xs), dtype=float)
     # one contiguous row per estimator, so each sum adds in the 1-d order
     diff = np.ascontiguousarray(estimates.T) - np.asarray(truth(xs), dtype=float)
-    iae, ise = delta * np.abs(diff).sum(axis=-1), delta * (diff * diff).sum(axis=-1)
-    return (float(iae), float(ise)) if estimates.ndim < 2 else (iae, ise)
+    return delta * np.abs(diff).sum(axis=-1), delta * (diff * diff).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -160,7 +172,6 @@ class ComparisonTable:
     replications_used: int
     failures: int
     config: SimConfig
-    per_replicate: dict[str, np.ndarray] = field(repr=False)   # (I_used, 2) per estimator
 
     def to_text(self) -> str:
         n = self.config.sizes[0]
@@ -223,32 +234,142 @@ def _replicate_errors(samples, grid) -> dict[str, tuple[float, float]]:
     return {name: (float(iae[k]), float(ise[k])) for k, name in enumerate(ESTIMATORS)}
 
 
+def _workers(replications: int) -> int:
+    """How many processes share ``replications`` replicates: one per CPU this
+    process may run on, at most one per replicate.
+
+    1 where ``os.fork`` is missing, or while another thread is alive: a
+    forked child could inherit a lock that thread holds and never see it
+    released."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(replications, cpus)
+
+
+def _outcomes(cfg: SimConfig, indices: range):
+    """Each replicate's errors, in index order; ``None`` for a replicate whose
+    fits fail with a NumericalError. Any other exception propagates."""
+    for i in indices:
+        samples = generate(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), cfg.sizes)
+        try:
+            errors = _replicate_errors(samples, cfg.grid)
+        except NumericalError:
+            errors = None
+        yield errors
+
+
+class _Raised(NamedTuple):
+    """The exception that ended a child's chunk: pickled, or ``None`` where it
+    does not pickle, and its traceback text."""
+    pickled: bytes | None
+    traceback: str
+
+
+def _fork_chunk(cfg: SimConfig, indices: range):
+    """Run ``_outcomes(cfg, indices)`` in a forked child: (its pid, the read
+    end of its pipe, as a binary file).
+
+    The child sends one pickled list, its outcomes ended by a ``_Raised`` if
+    another exception stopped it, and leaves through ``os._exit``: it never
+    flushes the parent's stdio buffers, runs atexit handlers or unwinds the
+    parent's frames. The exit status is 0 only once the list is written.
+    A bare fork and pipe, not a process pool: on 10 replicates of 3x1000 a
+    pool's start-up took most of the gain, and a spawned worker would import
+    numpy afresh."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            sent = []
+            try:
+                for errors in _outcomes(cfg, indices):
+                    sent.append(errors)
+            except Exception as exc:
+                import traceback   # here, so that importing the package does not pay for it
+                try:
+                    pickled = pickle.dumps(exc)
+                except Exception:   # whatever the exception's own pickling raises
+                    pickled = None
+                sent.append(_Raised(pickled, "".join(traceback.format_exception(exc))))
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(sent, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _collected(children: list):
+    """The outcomes of the ``(pid, pipe)`` children, in order, as
+    ``_outcomes`` would give them; each child's exception is raised where it
+    stopped its chunk. Each pipe is read to EOF before its child is reaped,
+    so a child never blocks on a full pipe, and a reaped child leaves
+    ``children``."""
+    while children:
+        pid, pipe = children[0]
+        with pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        del children[0]
+        if status != 0:
+            raise RuntimeError(f"replicate worker {pid} exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} without a complete result")
+        for outcome in pickle.loads(data):   # written by our own child
+            if isinstance(outcome, _Raised):
+                try:
+                    exc = pickle.loads(outcome.pickled)
+                except Exception:   # None, or whatever the exception's unpickling raises
+                    raise RuntimeError("a replicate worker raised an exception that does "
+                                       f"not pickle:\n{outcome.traceback}") from None
+                raise exc from RuntimeError(f"in a replicate worker:\n{outcome.traceback}")
+            yield outcome
+
+
 def run_comparison(cfg: SimConfig) -> ComparisonTable:
     """Run the replicated estimator comparison; deterministic for a fixed config.
 
     Replicates whose fits fail (NoConvergence and kin) are counted and
-    excluded; the run aborts if more than 10% fail.
+    excluded; the run aborts if more than 10% fail. The replicates are
+    shared between ``_workers`` processes (module docstring); the table does
+    not depend on their number.
     """
-    per = {name: [] for name in ESTIMATORS}
-    failures = 0
-    for i in range(cfg.replications):
-        samples = generate(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), cfg.sizes)
-        try:
-            results = _replicate_errors(samples, cfg.grid)
-        except NumericalError:
-            failures += 1
-            if failures > 0.1 * cfg.replications:
-                raise ExcessiveFailures(failures, cfg.replications) from None
-            continue
-        for name, val in results.items():
-            per[name].append(val)
+    workers = _workers(cfg.replications)
+    bounds = [cfg.replications * k // workers for k in range(workers + 1)]
+    children = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_chunk(cfg, range(start, stop)))
+        per = {name: [] for name in ESTIMATORS}
+        failures = 0
+        for results in itertools.chain(_outcomes(cfg, range(bounds[1])),
+                                       _collected(children)):
+            if results is None:
+                failures += 1
+                if failures > 0.1 * cfg.replications:
+                    raise ExcessiveFailures(failures, cfg.replications)
+                continue
+            for name, val in results.items():
+                per[name].append(val)
+    finally:
+        import signal   # here, so that importing the package does not pay for it
+        for pid, pipe in children:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            pipe.close()
 
     used = cfg.replications - failures
     rows = []
-    arrays = {}
     for name in ESTIMATORS:
         arr = np.asarray(per[name], dtype=float).reshape(used, 2)
-        arrays[name] = arr
         se = arr.std(axis=0, ddof=1) / np.sqrt(used) if used > 1 else np.zeros(2)
         rows.append(EstimatorSummary(
             estimator=name,
@@ -260,5 +381,4 @@ def run_comparison(cfg: SimConfig) -> ComparisonTable:
         replications_used=used,
         failures=failures,
         config=cfg,
-        per_replicate=arrays,
     )

@@ -1,7 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 
-from drmfuse import Sample, TiltSpec, cli, validate
+from drmfuse import Sample, TiltSpec, cli, generate, simulation, validate
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test after which this process still has a child, running or
+    not reaped: the Monte Carlo workers must all be waited for."""
+    yield
+    if not hasattr(os, "WNOHANG"):   # Windows: no fork, no workers
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:   # no children at all
+        return
+    pytest.fail(f"a child process was left behind (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture
@@ -32,3 +48,13 @@ def cli_ingest(path, wanted, period_filter):
     the file's period labels."""
     regions, periods, values = cli._read_rows(path)
     return (*cli._partition(regions, periods, values, wanted, period_filter), periods[0])
+
+
+def replicate_errors(cfg):
+    """Each estimator's (IAE, ISE) of every replicate of ``cfg``, one (R, 2)
+    array per estimator, from ``simulation._replicate_errors`` on the samples
+    ``run_comparison`` draws for each replicate."""
+    per = [simulation._replicate_errors(
+               generate(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), cfg.sizes), cfg.grid)
+           for i in range(cfg.replications)]
+    return {name: np.array([errors[name] for errors in per]) for name in simulation.ESTIMATORS}

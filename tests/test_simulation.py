@@ -1,4 +1,5 @@
-import itertools
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ from drmfuse import (
 )
 from drmfuse.simulation import ESTIMATORS, REFINED_TRUTH, ExcessiveFailures
 from drmfuse import _kernels, simulation
+from conftest import replicate_errors
+
+
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(simulation, "_workers", lambda replications: workers)
 
 
 def test_generate_parameterizations():
@@ -65,21 +71,21 @@ def test_exp2_cdf():
 
 def test_miae_mise_zero_when_exact():
     grid = (0.0, 10.0, 1000)
-    miae, mise = miae_mise(exp2_cdf, exp2_cdf, grid)
+    (miae,), (mise,) = miae_mise(lambda x: exp2_cdf(x)[:, None], exp2_cdf, grid)
     assert miae == 0.0 and mise == 0.0
 
 
 def test_miae_mise_constant_offset():
     grid = (0.0, 10.0, 1000)
-    miae, mise = miae_mise(lambda x: exp2_cdf(x) + 0.01, exp2_cdf, grid)
+    (miae,), (mise,) = miae_mise(lambda x: exp2_cdf(x)[:, None] + 0.01, exp2_cdf, grid)
     assert miae == pytest.approx(0.1, rel=1e-12)
     assert mise == pytest.approx(0.001, rel=1e-12)
 
 
 def test_miae_mise_accepts_an_empirical_cdf():
     sample = Sample.reference("r", [1.0, 2.0])
-    miae, mise = miae_mise(lambda x: empirical_cdf(sample, x),
-                           lambda x: np.clip(x / 2.0, 0, 1), (0.0, 2.0, 4))
+    (miae,), (mise,) = miae_mise(lambda x: empirical_cdf(sample, x)[:, None],
+                                 lambda x: np.clip(x / 2.0, 0, 1), (0.0, 2.0, 4))
     # errors -1/4, 0, -1/4, 0 at x = 1/2, 1, 3/2, 2, each weighted by delta = 1/2
     assert (miae, mise) == (0.25, 0.0625)
 
@@ -91,7 +97,7 @@ def test_empirical_miae_magnitude():
     for i in range(60):
         rng = np.random.default_rng(np.random.SeedSequence(4096, spawn_key=(i,)))
         sample = Sample.reference("x", rng.exponential(0.5, 1000))
-        vals.append(miae_mise(lambda x: empirical_cdf(sample, x), exp2_cdf, grid)[0])
+        vals.append(miae_mise(lambda x: empirical_cdf(sample, x)[:, None], exp2_cdf, grid)[0][0])
     assert np.mean(vals) == pytest.approx(1.910e-2, rel=0.15)
 
 
@@ -132,8 +138,10 @@ def test_run_comparison_bit_identical_for_same_seed():
     t1 = run_comparison(cfg)
     t2 = run_comparison(cfg)
     assert t1.rows == t2.rows
-    for name in ESTIMATORS:
-        assert np.array_equal(t1.per_replicate[name], t2.per_replicate[name])
+    r1, r2 = replicate_errors(cfg), replicate_errors(cfg)
+    for name, row in zip(ESTIMATORS, t1.rows):
+        assert np.array_equal(r1[name], r2[name])
+        assert (row.miae, row.mise) == tuple(r1[name].mean(axis=0)), name
     assert t1.to_delimited() == t2.to_delimited()
 
 
@@ -154,9 +162,12 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
     # each replicate's refined fit is started at the true theta and its
     # uniform fit at the refined MLE of the same samples, each coordinate at
     # its (neighbor, column) in the uniform layout and 0 elsewhere, and the
-    # table matches cold starts of both fits
+    # table matches cold starts of both fits. One worker, so that every fit
+    # is called in this process and seen by the spy
+    _pin_workers(monkeypatch, 1)
     cfg = SimConfig(replications=6, sizes=(300, 300, 300), seed=11)
     real_fit = simulation.likelihood.fit
+    warm_errors = replicate_errors(cfg)
     calls = []
 
     def spy(data, start=None):
@@ -189,9 +200,9 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
     monkeypatch.setattr(simulation.likelihood, "fit", lambda data, start=None: real_fit(data))
     cold = run_comparison(cfg)
     assert (warm.replications_used, warm.failures) == (cold.replications_used, cold.failures)
+    cold_errors = replicate_errors(cfg)
     for name in ESTIMATORS:
-        assert np.allclose(warm.per_replicate[name], cold.per_replicate[name],
-                           rtol=1e-10, atol=0.0), name
+        assert np.allclose(warm_errors[name], cold_errors[name], rtol=1e-10, atol=0.0), name
     for row_w, row_c in zip(warm.rows, cold.rows):
         assert row_w.estimator == row_c.estimator
         for metric in ("miae", "miae_se", "mise", "mise_se"):
@@ -200,7 +211,9 @@ def test_uniform_fit_starts_at_the_refined_mle(monkeypatch):
 
 def test_replicate_bins_the_fused_points_once(monkeypatch):
     # the three CDFs of a replicate come from one search between the fused
-    # points and the grid, not one per estimator
+    # points and the grid, not one per estimator (in one worker, so that the
+    # spy sees every replicate)
+    _pin_workers(monkeypatch, 1)
     cfg = SimConfig(replications=4, sizes=(200, 200, 200), seed=5)
     calls = []
     real = np.searchsorted
@@ -236,7 +249,8 @@ def test_replicate_columns_are_the_three_cdfs_bit_for_bit():
     errors = simulation._replicate_errors(samples, grid)
     assert list(errors) == list(ESTIMATORS)
     for name in ESTIMATORS:
-        assert errors[name] == miae_mise(cdfs[name], exp2_cdf, grid), name
+        (iae,), (ise,) = miae_mise(lambda x: cdfs[name](x)[:, None], exp2_cdf, grid)
+        assert errors[name] == (iae, ise), name
 
 
 def test_run_comparison_counts_and_aborts_on_failures(monkeypatch):
@@ -251,23 +265,36 @@ def test_run_comparison_counts_and_aborts_on_failures(monkeypatch):
         run_comparison(SimConfig(replications=10, sizes=(50, 50, 50), seed=0))
 
 
-def _failing_replicates(monkeypatch, failing):
-    # stand-in replicate errors: call i fails when i is in ``failing`` and
-    # otherwise gives every estimator (i, i^2)
-    calls = itertools.count()
+def _failing_replicates(monkeypatch, cfg, failing, raising=None):
+    # stand-in replicate errors: replicate i, known by its samples, fails when
+    # i is in ``failing``, raises ``raising[i]`` when there is one, and
+    # otherwise gives every estimator (i, i^2). A replicate is known by its
+    # samples because a worker process's call count would restart at 0. The
+    # list returned collects the replicates called in this process
+    index = {generate(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), cfg.sizes)[0]
+             .values.tobytes(): i for i in range(cfg.replications)}
+    raising = raising or {}
+    called = []
 
     def replicate(samples, grid):
-        i = next(calls)
+        i = index[samples[0].values.tobytes()]
+        called.append(i)
         if i in failing:
             raise NoConvergence(5, 1.0)
+        if i in raising:
+            raise raising[i]
         return {name: (float(i), float(i * i)) for name in ESTIMATORS}
 
     monkeypatch.setattr(simulation, "_replicate_errors", replicate)
+    return called
+
+
+TEN = SimConfig(replications=10, sizes=(50, 50, 50), seed=0)
 
 
 def test_run_comparison_excludes_one_failed_replicate_of_ten(monkeypatch):
-    _failing_replicates(monkeypatch, {3})
-    table = run_comparison(SimConfig(replications=10, sizes=(50, 50, 50), seed=0))
+    _failing_replicates(monkeypatch, TEN, {3})
+    table = run_comparison(TEN)
     assert (table.failures, table.replications_used) == (1, 9)
     errors = np.array([(i, i * i) for i in range(10) if i != 3], dtype=float)
     se = errors.std(axis=0, ddof=1) / np.sqrt(9)
@@ -278,10 +305,128 @@ def test_run_comparison_excludes_one_failed_replicate_of_ten(monkeypatch):
 
 def test_run_comparison_aborts_on_two_failed_replicates_of_ten(monkeypatch):
     # more than 10% of the replicates fail
-    _failing_replicates(monkeypatch, {2, 7})
+    _failing_replicates(monkeypatch, TEN, {2, 7})
     with pytest.raises(ExcessiveFailures) as exc:
-        run_comparison(SimConfig(replications=10, sizes=(50, 50, 50), seed=0))
+        run_comparison(TEN)
     assert (exc.value.failures, exc.value.total) == (2, 10)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_in_two_chunks_abort_at_any_worker_count(monkeypatch, workers):
+    # with two workers, replicate 7 fails in the child's chunk
+    _pin_workers(monkeypatch, workers)
+    _failing_replicates(monkeypatch, TEN, {2, 7})
+    with pytest.raises(ExcessiveFailures) as exc:
+        run_comparison(TEN)
+    assert (exc.value.failures, exc.value.total) == (2, 10)
+
+
+def test_failure_in_a_worker_is_excluded_as_in_one_process(monkeypatch):
+    tables = {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        called = _failing_replicates(monkeypatch, TEN, {8})
+        tables[workers] = run_comparison(TEN)
+        # with two workers, replicates 5-9 ran in the child
+        assert called == list(range(10 if workers == 1 else 5))
+    for table in tables.values():
+        assert (table.failures, table.replications_used) == (1, 9)
+    assert tables[1].rows == tables[2].rows
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_tables_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # 7 replicates in chunks of unequal sizes
+    cfg = SimConfig(replications=7, sizes=(200, 150, 180), seed=23)
+    _pin_workers(monkeypatch, 1)
+    serial = run_comparison(cfg)
+    _pin_workers(monkeypatch, workers)
+    table = run_comparison(cfg)
+    assert table.rows == serial.rows
+    assert table.to_delimited() == serial.to_delimited()
+    assert table.to_text() == serial.to_text()
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    _pin_workers(monkeypatch, 2)
+    called = _failing_replicates(monkeypatch, TEN, set(), {8: ValueError("boom")})
+    with pytest.raises(ValueError, match="^boom$") as exc:
+        run_comparison(TEN)
+    assert called == list(range(5))   # replicate 8 ran in the child
+    assert "ValueError: boom" in str(exc.value.__cause__)
+
+
+def test_unpicklable_worker_exception_carries_its_traceback(monkeypatch):
+    class Local(Exception):   # a local class does not pickle
+        pass
+
+    _pin_workers(monkeypatch, 2)
+    _failing_replicates(monkeypatch, TEN, set(), {6: Local("not portable")})
+    with pytest.raises(RuntimeError, match="does not pickle") as exc:
+        run_comparison(TEN)
+    assert "Local: not portable" in str(exc.value)
+
+
+def test_worker_exit_without_a_result_names_its_status(monkeypatch):
+    _pin_workers(monkeypatch, 3)
+    called = _failing_replicates(monkeypatch, TEN, set())
+    keyed, parent = simulation._replicate_errors, os.getpid()
+
+    def dying(samples, grid):
+        errors = keyed(samples, grid)
+        if called[-1] == 9 and os.getpid() != parent:
+            os._exit(7)
+        return errors
+
+    monkeypatch.setattr(simulation, "_replicate_errors", dying)
+    with pytest.raises(RuntimeError, match="exited with status 7"):
+        run_comparison(TEN)
+
+
+def test_worker_results_larger_than_a_pipe_buffer(monkeypatch):
+    # about 75 bytes per replicate: the child's 3000 exceed a 64 KiB pipe
+    # buffer, so it finishes only if the parent reads while it writes
+    cfg = SimConfig(replications=6000, sizes=(5, 5, 5), seed=1)
+    _pin_workers(monkeypatch, 2)
+    _failing_replicates(monkeypatch, cfg, set())
+    table = run_comparison(cfg)
+    assert table.replications_used == 6000
+    assert table.rows[0].miae == np.arange(6000.0).mean()
+
+
+def test_workers_one_per_cpu_of_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [simulation._workers(r) for r in (1, 2, 3, 300)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert simulation._workers(300) == 4
+    monkeypatch.delattr(os, "fork")
+    assert simulation._workers(300) == 1
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    cfg = SimConfig(replications=4, sizes=(150, 150, 150), seed=4)
+    _pin_workers(monkeypatch, 1)
+    serial = run_comparison(cfg)
+    monkeypatch.undo()
+    # three CPUs, so that only the thread can keep the run in one process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert simulation._workers(cfg.replications) == 3
+
+    def no_fork():
+        pytest.fail("run_comparison forked while another thread was alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        table = run_comparison(cfg)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert table.to_delimited() == serial.to_delimited()
 
 
 def test_table_text_and_delimited_shapes():
