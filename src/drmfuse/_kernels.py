@@ -74,9 +74,9 @@ def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np
     return logD, E
 
 
-def tilt_design(U: np.ndarray, data: FusedData, out: np.ndarray | None = None) -> np.ndarray:
-    """Psi = U[:, nbr] * X[:, col], shape (n, m + r), written into ``out`` if
-    given.
+def tilt_design(U: np.ndarray, data: FusedData, out: np.ndarray) -> np.ndarray:
+    """Psi = U[:, nbr] * X[:, col], shape (n, m + r), written into ``out``,
+    which is returned.
 
     ``U[:, k] = rho_k w_k / D``; column j is neighbor nbr[j]'s ratio times
     its column col[j] of X, so the first m columns are U itself. ``out`` may
@@ -84,11 +84,10 @@ def tilt_design(U: np.ndarray, data: FusedData, out: np.ndarray | None = None) -
     of ``[X | Psi]`` that the Newton derivative pass multiplies in one product.
     """
     m = data.m
-    Psi = np.empty((data.n, len(data.pairs)), order="F") if out is None else out
-    Psi[:, :m] = U   # X's column 0 is all ones
+    out[:, :m] = U   # X's column 0 is all ones
     for j, (k, c) in enumerate(data.pairs[m:], start=m):
-        np.multiply(U[:, k], data.X[:, c], out=Psi[:, j])   # no (n, m + r) temporaries
-    return Psi
+        np.multiply(U[:, k], data.X[:, c], out=out[:, j])   # no (n, m + r) temporaries
+    return out
 
 
 def at_or_below(t: np.ndarray, T, weights: np.ndarray | None = None) -> np.ndarray:

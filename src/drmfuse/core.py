@@ -185,21 +185,6 @@ class TiltSpec:
 GLOBAL_TILT = TiltSpec((Basis.IDENTITY, Basis.LOG, Basis.LOGSQ))
 
 
-def basis_matrix(values: np.ndarray, spec: TiltSpec) -> np.ndarray:
-    """Evaluate a tilt's basis functions at each value; shape (len(values), r),
-    column-major."""
-    out = np.empty((values.size, spec.r), order="F")
-    logs = np.log(values)
-    for j, b in enumerate(spec.basis):
-        if b is Basis.IDENTITY:
-            out[:, j] = values
-        elif b is Basis.LOG:
-            out[:, j] = logs
-        else:
-            out[:, j] = logs * logs
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fused data
 # ---------------------------------------------------------------------------
@@ -258,6 +243,9 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
     """
     if len(samples) < 1:
         raise ArityMismatch("need at least a reference sample")
+    for i, s in enumerate(samples):
+        if not isinstance(s, Sample):
+            raise InputError(f"sample at position {i} is a {type(s).__name__}, not a Sample")
     ref = samples[0]
     if ref.role is not Role.REFERENCE:
         raise ArityMismatch(f"first sample {ref.label!r} must have the reference role")
@@ -267,9 +255,11 @@ def validate(samples: list[Sample], tilts: list[TiltSpec]) -> FusedData:
 
     n_k = np.array([s.n for s in samples], dtype=float)
     t = _freeze(np.concatenate([s.values for s in samples]))
-    X = np.empty((t.size, 4), order="F")
+    X = np.empty((t.size, 4), order="F")   # a constant, then GLOBAL_TILT's basis
     X[:, 0] = 1.0
-    X[:, 1:] = basis_matrix(t, GLOBAL_TILT)
+    X[:, 1] = t
+    np.log(t, out=X[:, 2])
+    np.multiply(X[:, 2], X[:, 2], out=X[:, 3])
     X = _freeze(X)
     # column sums of X over each neighbor's sample, in that sample's row block
     sums = np.add.reduceat(X, np.cumsum([s.n for s in samples[:-1]], dtype=np.intp), axis=0)
@@ -292,6 +282,9 @@ def _lay_out(ref: Sample, neighbors: list[Sample], t: np.ndarray, rho: np.ndarra
     m = len(neighbors)
     if len(tilts) != m:
         raise ArityMismatch(f"{m} neighbor(s) but {len(tilts)} tilt spec(s)")
+    for k, spec in enumerate(tilts):
+        if not isinstance(spec, TiltSpec):
+            raise InputError(f"tilt at position {k} is a {type(spec).__name__}, not a TiltSpec")
     nbr = list(range(m)) + [k for k, spec in enumerate(tilts) for _ in spec.basis]
     col = [0] * m + [1 + GLOBAL_TILT.basis.index(b) for spec in tilts for b in spec.basis]
     free = [k for k, spec in enumerate(tilts) if spec.r] + list(range(m, len(nbr)))

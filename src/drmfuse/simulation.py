@@ -24,9 +24,14 @@ seeds give bit-identical tables.
 
 Workers: the replicates 0..R-1 are split into contiguous chunks, one per CPU
 in this process's affinity mask (at most R). The calling process runs the
-first chunk and a forked child runs each other one, sending its replicates'
-errors back through a pipe. The parent counts them in replicate order, so
-tables, failure counts and the 10% abort do not depend on the worker count.
+first chunk and a forked child runs each other one. Each child sends one
+pickled message back through a pipe, the pair ``(outcomes, raised)``: its
+replicates' errors as far as it got, and ``raised``, ``None`` or, if an
+exception other than a NumericalError stopped it, that exception pickled
+(``None`` where it does not pickle) with its traceback text. The parent
+counts the outcomes in replicate order, then raises a child's exception
+where that child stopped, so tables, failure counts, the 10% abort and the
+exception raised do not depend on the worker count.
 Work a child does is not seen by profilers or tracers in the calling process,
 nor counted in its ``RUSAGE_SELF``.
 """
@@ -34,13 +39,13 @@ nor counted in its ``RUSAGE_SELF``.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import pickle
 import threading
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +103,9 @@ class SimConfig:
         m1, m2, j = self.grid
         if not m2 > m1:
             raise ArityMismatch(f"grid upper bound {m2!r} must exceed lower bound {m1!r}")
+        if not math.isfinite(m2 - m1):
+            raise ArityMismatch(f"grid bounds {m1!r} and {m2!r} must be finite, "
+                                "and a finite distance apart")
         if _count(j, "grid size") < 1 or _count(self.replications, "replications") < 1:
             raise ArityMismatch("replications and grid size must be >= 1")
         if len(self.sizes) != 3:
@@ -127,9 +135,9 @@ def exp2_cdf(x):
 def generate(seed, sizes: tuple[int, int, int]) -> tuple[Sample, Sample, Sample]:
     """Draw (reference, gamma neighbor, lognormal neighbor) samples.
 
-    ``seed`` may be an int, a SeedSequence, or a Generator.
+    ``seed`` may be an int, a SeedSequence, or a Generator, used as it is.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n0, n1, n2 = sizes
     return (
         Sample.reference("exp", rng.exponential(scale=0.5, size=n0)),
@@ -147,8 +155,8 @@ def miae_mise(estimate, truth, grid: tuple[float, float, int]):
     a pair of length-c arrays.
     """
     m1, m2, j = grid
-    if not (m2 > m1 and _count(j, "grid size") >= 1):
-        raise ArityMismatch("invalid grid")
+    if not (m2 > m1 and math.isfinite(m2 - m1) and _count(j, "grid size") >= 1):
+        raise ArityMismatch(f"invalid grid {grid!r}: need finite M1 < M2 and J >= 1")
     delta = (m2 - m1) / j
     xs = m1 + delta * np.arange(1, j + 1)
     estimates = np.asarray(estimate(xs), dtype=float)
@@ -262,21 +270,14 @@ def _outcomes(cfg: SimConfig, indices: range):
         yield errors
 
 
-class _Raised(NamedTuple):
-    """The exception that ended a child's chunk: pickled, or ``None`` where it
-    does not pickle, and its traceback text."""
-    pickled: bytes | None
-    traceback: str
-
-
 def _fork_chunk(cfg: SimConfig, indices: range):
     """Run ``_outcomes(cfg, indices)`` in a forked child: (its pid, the read
     end of its pipe, as a binary file).
 
-    The child sends one pickled list, its outcomes ended by a ``_Raised`` if
-    another exception stopped it, and leaves through ``os._exit``: it never
-    flushes the parent's stdio buffers, runs atexit handlers or unwinds the
-    parent's frames. The exit status is 0 only once the list is written.
+    The child sends one pickled pair (module docstring) and leaves through
+    ``os._exit``: it never flushes the parent's stdio buffers, runs atexit
+    handlers or unwinds the parent's frames. The exit status is 0 only once
+    the pair is written.
     A bare fork and pipe, not a process pool: on 10 replicates of 3x1000 a
     pool's start-up took most of the gain, and a spawned worker would import
     numpy afresh."""
@@ -286,19 +287,19 @@ def _fork_chunk(cfg: SimConfig, indices: range):
         status = 1
         try:
             os.close(read_fd)
-            sent = []
+            outcomes, raised = [], None
             try:
                 for errors in _outcomes(cfg, indices):
-                    sent.append(errors)
+                    outcomes.append(errors)
             except Exception as exc:
                 import traceback   # here, so that importing the package does not pay for it
                 try:
                     pickled = pickle.dumps(exc)
                 except Exception:   # whatever the exception's own pickling raises
                     pickled = None
-                sent.append(_Raised(pickled, "".join(traceback.format_exception(exc))))
+                raised = (pickled, "".join(traceback.format_exception(exc)))
             with open(write_fd, "wb") as pipe:
-                pickle.dump(sent, pipe)
+                pickle.dump((outcomes, raised), pipe)
             status = 0
         finally:
             os._exit(status)
@@ -321,15 +322,16 @@ def _collected(children: list):
         if status != 0:
             raise RuntimeError(f"replicate worker {pid} exited with status "
                                f"{os.waitstatus_to_exitcode(status)} without a complete result")
-        for outcome in pickle.loads(data):   # written by our own child
-            if isinstance(outcome, _Raised):
-                try:
-                    exc = pickle.loads(outcome.pickled)
-                except Exception:   # None, or whatever the exception's unpickling raises
-                    raise RuntimeError("a replicate worker raised an exception that does "
-                                       f"not pickle:\n{outcome.traceback}") from None
-                raise exc from RuntimeError(f"in a replicate worker:\n{outcome.traceback}")
-            yield outcome
+        outcomes, raised = pickle.loads(data)   # written by our own child
+        yield from outcomes
+        if raised is not None:
+            pickled, text = raised
+            try:
+                exc = pickle.loads(pickled)
+            except Exception:   # None, or whatever the exception's unpickling raises
+                raise RuntimeError("a replicate worker raised an exception that does "
+                                   f"not pickle:\n{text}") from None
+            raise exc from RuntimeError(f"in a replicate worker:\n{text}")
 
 
 def run_comparison(cfg: SimConfig) -> ComparisonTable:

@@ -14,8 +14,9 @@ data with the tilts plugged in. The score and Hessian of the profile
 log-likelihood are rebuilt one neighbor at a time (``score_hessian``).
 
 Nothing here reads the package's parameter layout (``FusedData.X``, ``nbr``,
-``col``, ``obs``, ``free``) or its kernels: each neighbor's basis comes from
-``basis_matrix`` and its tilt spec, the beta offsets from the specs, the
+``col``, ``obs``, ``free``), its kernels or its design code: each neighbor's
+basis is evaluated here, by ``basis_matrix`` from its tilt spec's ``Basis``
+members, the beta offsets come from the specs, the
 sufficient statistics from the sample values, and the log-denominators from
 scipy's ``logsumexp``. The flat theta is taken as (alpha_1..alpha_m, beta_1,
 ..., beta_m) and split per neighbor by ``split_theta``.
@@ -26,7 +27,20 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import logsumexp
 
-from drmfuse.core import basis_matrix
+from drmfuse.core import Basis
+
+_BASIS = {
+    Basis.IDENTITY: lambda x: x,
+    Basis.LOG: np.log,
+    Basis.LOGSQ: lambda x: np.log(x) ** 2,
+}
+
+
+def basis_matrix(values, spec):
+    """h(x) of tilt ``spec`` at each of the 1-d ``values``: one column per
+    basis function, in the spec's order; shape (len(values), r)."""
+    return np.array([_BASIS[b](values) for b in spec.basis], dtype=float).reshape(
+        spec.r, values.size).T
 
 
 def _offsets(data):

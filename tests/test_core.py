@@ -7,6 +7,7 @@ from drmfuse import (
     DuplicateBasis,
     EmptySample,
     GLOBAL_TILT,
+    InputError,
     NonPositiveValue,
     Sample,
     TiltSpec,
@@ -88,6 +89,16 @@ def test_arity_and_roles():
         validate([nb, ref], [TiltSpec.parse("x")])
     with pytest.raises(ArityMismatch):
         validate([ref, ref], [TiltSpec.parse("x")])
+    # arguments of the wrong type are input errors that name their position
+    for tilts in (["x"], [None]):
+        with pytest.raises(InputError, match="tilt at position 0 is a .*, not a TiltSpec"):
+            validate([ref, nb], tilts)
+        with pytest.raises(InputError, match="tilt at position 0 is a .*, not a TiltSpec"):
+            retilt(validate([ref, nb], [GLOBAL_TILT]), tilts)
+    with pytest.raises(InputError, match="sample at position 1 is a list, not a Sample"):
+        validate([ref, [1.0, 2.0]], [GLOBAL_TILT])
+    with pytest.raises(InputError, match="sample at position 0 is a NoneType, not a Sample"):
+        validate([None, nb], [GLOBAL_TILT])
 
 
 def test_retilt_lays_out_other_tilts_over_the_same_fused_samples():

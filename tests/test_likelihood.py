@@ -18,7 +18,7 @@ from drmfuse import (
     fit,
     validate,
 )
-from drmfuse.core import basis_matrix, retilt
+from drmfuse.core import retilt
 from drmfuse import _kernels, likelihood
 from drmfuse.simulation import REFINED_TILTS, REFINED_TRUTH, UNIFORM_TILTS, generate
 
@@ -40,7 +40,11 @@ EPS = np.finfo(float).eps
     ("logx", 2.0, [math.log(2.0)]),
 ], ids=["at_one", "at_e", "log2"])
 def test_basis_matrix_values(tilt, x, expected):
-    assert np.allclose(basis_matrix(np.array([x]), TiltSpec.parse(tilt))[0], expected)
+    spec = TiltSpec.parse(tilt)
+    assert np.allclose(blocks_oracle.basis_matrix(np.array([x]), spec)[0], expected)
+    # the design holds GLOBAL_TILT's basis after its constant column
+    X = validate([Sample.reference("r", [x])], []).X
+    assert np.allclose(X[0, [1 + GLOBAL_TILT.basis.index(b) for b in spec.basis]], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,10 @@ def test_tilt_arrays_are_column_major(rng):
     assert validate([data.reference], []).r == 0
     eta = _kernels.eta_matrix(rng.normal(0, 0.1, data.m + data.r), data)
     assert eta.flags.f_contiguous
-    assert _kernels.tilt_design(np.exp(eta), data).flags.f_contiguous
+    U = np.exp(eta)
+    Psi = np.empty((data.n, data.m + data.r), order="F")
+    assert _kernels.tilt_design(U, data, Psi) is Psi
+    assert np.array_equal(Psi, U[:, data.nbr] * data.X[:, data.col])
 
 
 # ---------------------------------------------------------------------------

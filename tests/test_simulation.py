@@ -104,6 +104,12 @@ def test_empirical_miae_magnitude():
 def test_simconfig_validation():
     with pytest.raises(ArityMismatch):
         SimConfig(grid=(5.0, 1.0, 100))
+    # an infinite bound would give an infinite or NaN error integral
+    for grid in ((0.0, np.inf, 10), (-np.inf, 10.0, 10), (-1e308, 1e308, 10)):
+        with pytest.raises(ArityMismatch, match="grid bounds .* must be finite"):
+            SimConfig(replications=2, sizes=(100, 100, 100), grid=grid)
+        with pytest.raises(ArityMismatch, match="invalid grid"):
+            miae_mise(lambda x: exp2_cdf(x)[:, None], exp2_cdf, grid)
     for grid in ((0.0, 10.0), (0.0, 10.0, 100, 1)):
         with pytest.raises(ArityMismatch):
             SimConfig(grid=grid)
