@@ -12,7 +12,8 @@ numpy's C tokenizer (``np.loadtxt``) reads the file in blocks of rows. A
 file it rejects or may read differently, such as one with a whitespace-only
 line, a value in Python-only syntax (``1_000``), a value that is not finite,
 a NUL or a line longer than ``csv.field_size_limit()``, is read again by the
-csv module, which gives the same columns and names the first faulty line.
+csv module, which checks each record as it reads it, gives the same columns
+and names the first faulty line.
 Subcommands:
 
   refine     per-period pairwise tilt selection (one row per period, plus a
@@ -159,9 +160,10 @@ def _loadtxt_blocks(fh):
 def _csv_blocks(fh):
     """The data rows' blocks, tokenized by ``csv.reader``.
 
-    A block that fails to parse is re-read row by row, so the first faulty
+    Each record is checked as the reader yields it, so the first faulty
     record in the file is the one reported, by the physical line it starts
-    on (a quoted field may span lines).
+    on (a quoted field may span lines). Blank and whitespace-only records are
+    skipped; each block but the last holds ``_BLOCK_ROWS`` records that are not.
     """
     reader = csv.reader(fh)
     try:
@@ -171,54 +173,31 @@ def _csv_blocks(fh):
             raise ParseError(1, "empty file") from None
         if [h.strip().lower() for h in header] != _HEADER:
             raise ParseError(1, f"expected header region,period,value, got {header!r}")
-        while True:
-            block, starts, end = [], [], reader.line_num
-            for row in itertools.islice(reader, _BLOCK_ROWS):
-                block.append(row)
-                starts.append(end + 1)
-                end = reader.line_num
-            if not block:
-                return
+        regions, periods, values, start = [], [], [], reader.line_num + 1
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
             try:
-                parsed = _parse_block(block)
+                region, period, raw = row
+                value = float(raw.strip())
+                if not math.isfinite(value):
+                    raise ValueError
             except ValueError:
-                _raise_first_fault(block, starts)
-                raise
-            yield parsed
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ParseError(line_no, f"bad value {row[2].strip()!r}" if len(row) == 3
+                                 else f"expected 3 fields, got {len(row)}") from None
+            regions.append(region)
+            periods.append(period)
+            values.append(value)
+            if len(values) == _BLOCK_ROWS:
+                yield regions, periods, np.array(values)
+                regions, periods, values = [], [], []
+        yield regions, periods, np.array(values)
     except csv.Error as e:
         raise ParseError(reader.line_num, str(e)) from None
 
 
-def _parse_block(block: list[list[str]]):
-    """(region fields, period fields, values) of a block's non-blank rows.
-
-    Raises ValueError on any faulty row.
-    """
-    if set(map(len, block)) != {3}:
-        block = [row for row in block if row and (len(row) != 1 or row[0].strip())]
-        if not block:
-            return (), (), np.empty(0)
-        if set(map(len, block)) != {3}:
-            raise ValueError("row width")
-    region, period, raw = zip(*block)
-    value = np.fromiter(map(float, map(str.strip, raw)), float, len(raw))
-    if not np.isfinite(value).all():
-        raise ValueError("non-finite value")
-    return region, period, value
-
-
-def _raise_first_fault(block: list[list[str]], starts: list[int]) -> None:
-    """Raise ParseError for the first row of a failed block that ``_parse_block``
-    rejects on its own, at the line where that row starts."""
-    for line_no, row in zip(starts, block):
-        try:
-            _parse_block([row])
-        except ValueError:
-            raise ParseError(line_no, f"bad value {row[2].strip()!r}" if len(row) == 3
-                             else f"expected 3 fields, got {len(row)}") from None
-
-
-def _codes(fields: tuple[str, ...], code: dict[str, int]) -> np.ndarray:
+def _codes(fields: list[str], code: dict[str, int]) -> np.ndarray:
     """Each raw field's code, adding the fields ``code`` has not seen yet."""
     for field in dict.fromkeys(fields):
         code.setdefault(field, len(code))

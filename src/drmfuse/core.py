@@ -5,6 +5,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import copyreg
 import enum
 from dataclasses import dataclass, field
 
@@ -19,10 +20,17 @@ class DrmError(Exception):
     """Base class for all library errors.
 
     A ``label`` attribute may be attached when the error is re-raised in a
-    per-neighbor context (e.g. inside tilt refinement).
+    per-neighbor context (e.g. inside tilt refinement). Every library error
+    pickles, as a forked replicate worker sends it (``simulation``).
     """
 
     label: str | None = None
+
+    def __reduce__(self):
+        # rebuilt from args and attributes without calling __init__: the
+        # default, type(self)(*args), hands a subclass's __init__ the message
+        # in place of its own parameters
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
     def __str__(self) -> str:  # pragma: no cover - formatting only
         base = super().__str__()

@@ -193,8 +193,9 @@ def threshold_probability(
     the thresholds (``_kernels.at_or_below``, O(n log n + K log K) for K
     thresholds, with one sort of the n values). A NaN threshold is an
     InputError and a T that is not 1-d an ArityMismatch; -inf and +inf give
-    1 and 0. Intervals are reported raw (they may cross 0 or 1); see
-    ci_clamped for the truncated version.
+    1 and 0, and a FittedModel gives 0 with se 0 at every t at or above its
+    largest fused point. Intervals are reported raw (they may cross 0 or 1);
+    see ci_clamped for the truncated version.
     """
     if not 0.0 < level < 1.0:
         raise ArityMismatch(f"confidence level must be in (0, 1), got {level!r}")
@@ -203,8 +204,10 @@ def threshold_probability(
     if isinstance(source, FittedModel):
         n = source.data.n
         G, sigma = asymptotics.sigma_t(source, T)
-        # summation rounding can leave G(T) a few ulp outside [0, 1], hence the clip
-        prob = np.clip(1.0 - G, 0.0, 1.0)
+        # summation rounding can leave G(T) a few ulp outside [0, 1], hence the
+        # clip; at or above the largest fused point, where sigma_t sets sigma
+        # to 0, G sums all the mass and the exceedance is exactly 0
+        prob = np.where(T >= source.data.t.max(), 0.0, np.clip(1.0 - G, 0.0, 1.0))
         se = np.sqrt(sigma / n)
         method = "drm"
     elif isinstance(source, Sample):

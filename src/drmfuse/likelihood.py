@@ -64,9 +64,16 @@ def _loglik_parts(theta: np.ndarray, data: FusedData):
 
 def _derivative_buffer(data: FusedData) -> np.ndarray:
     """Z = [X | Psi] for ``_score_hessian``: column-major, shape (n, c + m + r)
-    with X's c columns filled in and the Psi block left to each call."""
+    with X's c columns filled in and the Psi block left to each call.
+
+    Z starts on a 64-byte boundary, which malloc does not promise: at n = 3000
+    the product Z' Psi took ~1.5x as long from an offset of 8, 16 or 32 bytes.
+    """
     c = data.X.shape[1]
-    Z = np.empty((data.n, c + len(data.pairs)), order="F")
+    size = data.n * (c + len(data.pairs))
+    flat = np.empty(size + 7)   # numpy aligns float64 data to 8 bytes at least
+    skip = -flat.ctypes.data % 64 // 8
+    Z = flat[skip:skip + size].reshape((data.n, -1), order="F")
     Z[:, :c] = data.X
     return Z
 

@@ -226,6 +226,19 @@ def test_field_longer_than_the_csv_limit_is_a_parse_error(tmp_path):
     assert "field larger than field limit" in str(exc.value)
 
 
+def test_first_fault_is_named_when_a_csv_error_follows_in_its_block(tmp_path):
+    # the csv module raises at the long field on line 4 only after it has
+    # yielded the bad value on line 3, the file's first faulty record
+    path = tmp_path / "fault_then_long.csv"
+    long_label = "B" * (csv.field_size_limit() + 1)
+    path.write_text(f"region,period,value\nBeaver,p,1.0\nBeaver,p,x\n{long_label},p,2.0\n")
+    for read in (lambda: cli._read_rows(str(path)),
+                 lambda: ingest_oracle.ingest(str(path), ["Beaver"], None)):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert str(exc.value) == "line 3: bad value 'x'"
+
+
 def test_quote_open_at_a_block_end_takes_the_csv_route(tmp_path, monkeypatch):
     # the csv module carries the open field on to the end of the file, while
     # numpy would close it at the end of the block and read on

@@ -1,18 +1,24 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from drmfuse import (
     ArityMismatch,
     Basis,
+    DrmError,
     DuplicateBasis,
     EmptySample,
     GLOBAL_TILT,
     InputError,
+    NoConvergence,
+    NonFinite,
     NonPositiveValue,
     Sample,
     TiltSpec,
     validate,
 )
+from drmfuse import cli, core, simulation
 from drmfuse.core import retilt
 
 
@@ -166,3 +172,31 @@ def test_all_lists_every_public_name():
     public = {name for name, value in vars(drmfuse).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(drmfuse.__all__) == sorted(public)
+
+
+def test_every_library_error_survives_a_pickle_round_trip():
+    # a forked replicate worker sends its exception pickled; the errors whose
+    # __init__ take other parameters than their message are built from these
+    made = {
+        NonPositiveValue: ("r", 4, -1.0),
+        EmptySample: ("r",),
+        DuplicateBasis: (Basis.LOG,),
+        NonFinite: ("score",),
+        NoConvergence: (7, 1.5e-3),
+        cli.ParseError: (3, "bad value 'x'"),
+        cli.UnknownRegion: ("r",),
+        cli.EmptyAfterFilter: ("r",),
+        simulation.ExcessiveFailures: (3, 20),
+    }
+    classes = {obj for module in (core, cli, simulation) for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, DrmError)}
+    assert set(made) < classes
+    for cls in classes:
+        for label in (None, "n1"):
+            error = cls(*made.get(cls, ("a message",)))
+            if label is not None:
+                error.label = label
+            back = pickle.loads(pickle.dumps(error))
+            assert type(back) is cls
+            assert (str(back), back.label, back.args, vars(back)) == \
+                (str(error), label, error.args, vars(error)), cls

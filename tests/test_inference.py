@@ -322,6 +322,14 @@ def test_threshold_drm_monotone_and_symmetric(rng):
     assert all(a >= b for a, b in zip(probs[:-1], probs[1:]))
 
 
+def test_drm_exceedance_is_zero_at_and_above_the_largest_fused_point(rng):
+    # G sums all the point masses there, which is 1 only up to rounding
+    model = fit(make_fused(rng, sizes=(300, 250, 200)))
+    top = model.data.t.max()
+    for est in threshold_probability(model, [top, top + 1.0, np.inf]):
+        assert (est.prob, est.se, est.ci) == (0.0, 0.0, (0.0, 0.0)), est.T
+
+
 def test_empirical_exceedance_is_the_exact_share_above(rng):
     # ties, thresholds at data points, between them, at and above the maximum
     values = np.round(rng.lognormal(1.0, 0.8, 300), 1) + 0.1

@@ -201,6 +201,15 @@ def test_score_hessian_match_per_neighbor_oracle(rng, tilts, tied):
         assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
 
 
+def test_derivative_buffer_is_aligned_column_major_and_holds_X(rng):
+    for sizes in ((5, 4, 3), (101, 40, 7), (300, 250, 200)):
+        data = make_fused(rng, sizes=sizes)
+        Z = likelihood._derivative_buffer(data)
+        assert Z.ctypes.data % 64 == 0 and Z.flags.f_contiguous
+        assert Z.shape == (data.n, data.X.shape[1] + data.m + data.r)
+        assert np.array_equal(Z[:, :data.X.shape[1]], data.X)
+
+
 def test_score_hessian_reject_non_finite_derivatives(rng):
     data = make_fused(rng)
     U = _kernels.log_denominators(np.zeros(data.m + data.r), data)[1]

@@ -8,6 +8,7 @@ from scipy.stats import expon, gamma as gamma_dist, lognorm
 from drmfuse import (
     ArityMismatch,
     NoConvergence,
+    NonPositiveValue,
     Sample,
     SimConfig,
     drm_cdf,
@@ -355,11 +356,17 @@ def test_tables_do_not_depend_on_the_worker_count(monkeypatch, workers):
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
     _pin_workers(monkeypatch, 2)
-    called = _failing_replicates(monkeypatch, TEN, set(), {8: ValueError("boom")})
-    with pytest.raises(ValueError, match="^boom$") as exc:
-        run_comparison(TEN)
-    assert called == list(range(5))   # replicate 8 ran in the child
-    assert "ValueError: boom" in str(exc.value.__cause__)
+    # a library error whose __init__ takes other parameters than its message,
+    # with a label attached, comes back whole
+    labelled = NonPositiveValue("r", 4, -1.0)
+    labelled.label = "n1"
+    for error in (ValueError("boom"), labelled):
+        called = _failing_replicates(monkeypatch, TEN, set(), {8: error})
+        with pytest.raises(type(error)) as exc:
+            run_comparison(TEN)
+        assert called == list(range(5))   # replicate 8 ran in the child
+        assert (str(exc.value), vars(exc.value)) == (str(error), vars(error))
+        assert f"{type(error).__name__}: {error}" in str(exc.value.__cause__)
 
 
 def test_unpicklable_worker_exception_carries_its_traceback(monkeypatch):
