@@ -328,9 +328,14 @@ def _report_rejections(rejected: dict[str, int]) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Print ``text``, or write it to the file ``out``; a file that cannot be
+    written is an InputError."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {out!r}: {e.strerror or e}") from None
     else:
         print(text)
 

@@ -21,7 +21,7 @@ class DrmError(Exception):
 
     A ``label`` attribute may be attached when the error is re-raised in a
     per-neighbor context (e.g. inside tilt refinement). Every library error
-    pickles, as a forked replicate worker sends it (``simulation``).
+    pickles, with its message, ``label`` and attributes.
     """
 
     label: str | None = None

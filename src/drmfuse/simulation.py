@@ -25,13 +25,13 @@ seeds give bit-identical tables.
 Workers: the replicates 0..R-1 are split into contiguous chunks, one per CPU
 in this process's affinity mask (at most R). The calling process runs the
 first chunk and a forked child runs each other one. Each child sends one
-pickled message back through a pipe, the pair ``(outcomes, raised)``: its
-replicates' errors as far as it got, and ``raised``, ``None`` or, if an
-exception other than a NumericalError stopped it, that exception pickled
-(``None`` where it does not pickle) with its traceback text. The parent
-counts the outcomes in replicate order, then raises a child's exception
-where that child stopped, so tables, failure counts, the 10% abort and the
-exception raised do not depend on the worker count.
+pickled message back through a pipe, the list of its replicates' outcomes,
+and exits with status 0. A child that stops otherwise (an exception other
+than a NumericalError, a signal, an early exit) sends nothing the parent
+reads: its chunk is run again in the calling process. Replicates are seeded
+by index, so the parent counts the same outcomes in replicate order and
+meets the very exception one process would, and tables, failure counts, the
+10% abort and the exception raised do not depend on the worker count.
 Work a child does is not seen by profilers or tracers in the calling process,
 nor counted in its ``RUSAGE_SELF``.
 """
@@ -272,66 +272,51 @@ def _outcomes(cfg: SimConfig, indices: range):
 
 def _fork_chunk(cfg: SimConfig, indices: range):
     """Run ``_outcomes(cfg, indices)`` in a forked child: (its pid, the read
-    end of its pipe, as a binary file).
+    end of its pipe, as a binary file, and ``indices``).
 
-    The child sends one pickled pair (module docstring) and leaves through
-    ``os._exit``: it never flushes the parent's stdio buffers, runs atexit
-    handlers or unwinds the parent's frames. The exit status is 0 only once
-    the pair is written.
+    The child sends its outcomes as one pickled list (module docstring) and
+    leaves through ``os._exit``: it never flushes the parent's stdio buffers,
+    runs atexit handlers or unwinds the parent's frames. The exit status is 0
+    only once the list is written.
     A bare fork and pipe, not a process pool: on 10 replicates of 3x1000 a
     pool's start-up took most of the gain, and a spawned worker would import
     numpy afresh."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:   # the ends are not returned, so no caller could close them
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            outcomes, raised = [], None
-            try:
-                for errors in _outcomes(cfg, indices):
-                    outcomes.append(errors)
-            except Exception as exc:
-                import traceback   # here, so that importing the package does not pay for it
-                try:
-                    pickled = pickle.dumps(exc)
-                except Exception:   # whatever the exception's own pickling raises
-                    pickled = None
-                raised = (pickled, "".join(traceback.format_exception(exc)))
             with open(write_fd, "wb") as pipe:
-                pickle.dump((outcomes, raised), pipe)
+                pickle.dump(list(_outcomes(cfg, indices)), pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return pid, open(read_fd, "rb"), indices
 
 
-def _collected(children: list):
-    """The outcomes of the ``(pid, pipe)`` children, in order, as
-    ``_outcomes`` would give them; each child's exception is raised where it
-    stopped its chunk. Each pipe is read to EOF before its child is reaped,
-    so a child never blocks on a full pipe, and a reaped child leaves
-    ``children``."""
+def _collected(cfg: SimConfig, children: list):
+    """The outcomes of the ``(pid, pipe, indices)`` children, in order, as
+    ``_outcomes`` would give them. Each pipe is read to EOF before its child
+    is reaped, so a child never blocks on a full pipe, and a reaped child
+    leaves ``children``. A child that did not exit with status 0 has its
+    chunk run again here, which gives its outcomes or raises its exception."""
     while children:
-        pid, pipe = children[0]
+        pid, pipe, indices = children[0]
         with pipe:
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
         del children[0]
-        if status != 0:
-            raise RuntimeError(f"replicate worker {pid} exited with status "
-                               f"{os.waitstatus_to_exitcode(status)} without a complete result")
-        outcomes, raised = pickle.loads(data)   # written by our own child
-        yield from outcomes
-        if raised is not None:
-            pickled, text = raised
-            try:
-                exc = pickle.loads(pickled)
-            except Exception:   # None, or whatever the exception's unpickling raises
-                raise RuntimeError("a replicate worker raised an exception that does "
-                                   f"not pickle:\n{text}") from None
-            raise exc from RuntimeError(f"in a replicate worker:\n{text}")
+        if status == 0:
+            yield from pickle.loads(data)   # written by our own child
+        else:
+            yield from _outcomes(cfg, indices)
 
 
 def run_comparison(cfg: SimConfig) -> ComparisonTable:
@@ -351,7 +336,7 @@ def run_comparison(cfg: SimConfig) -> ComparisonTable:
         per = {name: [] for name in ESTIMATORS}
         failures = 0
         for results in itertools.chain(_outcomes(cfg, range(bounds[1])),
-                                       _collected(children)):
+                                       _collected(cfg, children)):
             if results is None:
                 failures += 1
                 if failures > 0.1 * cfg.replications:
@@ -361,7 +346,7 @@ def run_comparison(cfg: SimConfig) -> ComparisonTable:
                 per[name].append(val)
     finally:
         import signal   # here, so that importing the package does not pay for it
-        for pid, pipe in children:
+        for pid, pipe, _ in children:
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):

@@ -20,6 +20,21 @@ def no_child_left():
     pytest.fail(f"a child process was left behind (waitpid gave pid {pid}, status {status})")
 
 
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test after which this process holds more open file descriptors
+    than before it, such as a Monte Carlo worker's pipe end. Not checked
+    where ``/proc/self/fd`` is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = len(os.listdir("/proc/self/fd"))
+    yield
+    after = len(os.listdir("/proc/self/fd"))
+    if after > before:
+        pytest.fail(f"{after - before} file descriptor(s) left open")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -555,6 +555,19 @@ def test_cmd_out_flag_writes_file(radon_csv, tmp_path, capsys):
     assert out.read_text().startswith("region,term,estimate,se")
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_exit_code_2_on_unwritable_out(radon_csv, tmp_path, capsys, command):
+    args = (["--reps", "2", "--sizes", "50,50,50"] if command == "simulate"
+            else _flags(radon_csv, "--tilt", "global"))
+    for out, message in ((tmp_path / "missing" / "o.csv", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main([command, *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"drmfuse: input error: cannot write '{out}': {message}\n"), captured.err
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     path = tmp_path / "nope.csv"
     assert main(["fit", str(path), "--reference", "A", "--neighbors", "B"]) == 2

@@ -1,4 +1,6 @@
+import errno
 import os
+import signal
 import threading
 
 import numpy as np
@@ -354,46 +356,87 @@ def test_tables_do_not_depend_on_the_worker_count(monkeypatch, workers):
     assert table.to_text() == serial.to_text()
 
 
-def test_worker_exception_reaches_the_caller(monkeypatch):
-    _pin_workers(monkeypatch, 2)
+def _labelled():
     # a library error whose __init__ takes other parameters than its message,
-    # with a label attached, comes back whole
-    labelled = NonPositiveValue("r", 4, -1.0)
-    labelled.label = "n1"
-    for error in (ValueError("boom"), labelled):
+    # with a label attached
+    error = NonPositiveValue("r", 4, -1.0)
+    error.label = "n1"
+    return error
+
+
+def _local():
+    class Local(Exception):   # a class defined in a function does not pickle
+        pass
+
+    return Local("not portable")
+
+
+@pytest.mark.parametrize("make_error", [lambda: ValueError("boom"), _labelled, _local],
+                         ids=["ValueError", "labelled", "unpicklable"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_exception_is_raised_as_in_one_process(monkeypatch, workers, make_error):
+    # replicate 8 raises in the last child's chunk; the caller runs that chunk
+    # again and raises the very object one process raises, not a copy
+    error = make_error()
+    raised = {}
+    for count in (1, workers):
+        _pin_workers(monkeypatch, count)
         called = _failing_replicates(monkeypatch, TEN, set(), {8: error})
         with pytest.raises(type(error)) as exc:
             run_comparison(TEN)
-        assert called == list(range(5))   # replicate 8 ran in the child
-        assert (str(exc.value), vars(exc.value)) == (str(error), vars(error))
-        assert f"{type(error).__name__}: {error}" in str(exc.value.__cause__)
+        raised[count] = exc.value
+        assert called[-1] == 8   # the chunk holding replicate 8 ran here
+    assert raised[workers] is raised[1] is error
+    assert error.__cause__ is None
 
 
-def test_unpicklable_worker_exception_carries_its_traceback(monkeypatch):
-    class Local(Exception):   # a local class does not pickle
-        pass
-
-    _pin_workers(monkeypatch, 2)
-    _failing_replicates(monkeypatch, TEN, set(), {6: Local("not portable")})
-    with pytest.raises(RuntimeError, match="does not pickle") as exc:
-        run_comparison(TEN)
-    assert "Local: not portable" in str(exc.value)
-
-
-def test_worker_exit_without_a_result_names_its_status(monkeypatch):
-    _pin_workers(monkeypatch, 3)
-    called = _failing_replicates(monkeypatch, TEN, set())
+@pytest.mark.parametrize("death", ["exit", "kill"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_that_dies_gives_the_serial_table(monkeypatch, workers, death):
+    # the child running replicate 9 dies before it sends anything; the caller
+    # runs its chunk again and the table is the one process's
+    _pin_workers(monkeypatch, 1)
+    _failing_replicates(monkeypatch, TEN, {3})
+    serial = run_comparison(TEN)
+    _pin_workers(monkeypatch, workers)
+    called = _failing_replicates(monkeypatch, TEN, {3})
     keyed, parent = simulation._replicate_errors, os.getpid()
 
     def dying(samples, grid):
         errors = keyed(samples, grid)
         if called[-1] == 9 and os.getpid() != parent:
-            os._exit(7)
+            if death == "exit":
+                os._exit(7)
+            os.kill(os.getpid(), signal.SIGKILL)
         return errors
 
     monkeypatch.setattr(simulation, "_replicate_errors", dying)
-    with pytest.raises(RuntimeError, match="exited with status 7"):
+    table = run_comparison(TEN)
+    assert called[-1] == 9   # the dead child's chunk ran here
+    assert (table.failures, table.replications_used) == (1, 9)
+    assert table.to_delimited() == serial.to_delimited()
+
+
+def test_failed_fork_leaves_no_descriptor(monkeypatch):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    _pin_workers(monkeypatch, 3)
+    _failing_replicates(monkeypatch, TEN, set())
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as exc:
         run_comparison(TEN)
+    assert exc.value.errno == errno.EAGAIN
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_worker_results_larger_than_a_pipe_buffer(monkeypatch):
