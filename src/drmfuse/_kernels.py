@@ -30,7 +30,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 def eta_matrix(theta: np.ndarray, data: FusedData) -> np.ndarray:
     """Log tilt values eta = X B at the flat theta, shape (n, m)."""
-    B = np.zeros((4, data.m))
+    B = np.zeros((data.X.shape[1], data.m))
     B[data.col, data.nbr] = theta
     return (B.T @ data.X.T).T   # column-major (n, m)
 
@@ -56,9 +56,7 @@ def log_denominators(theta: np.ndarray, data: FusedData) -> tuple[np.ndarray, np
     eta = eta_matrix(theta, data)
     if not np.isfinite(eta).all():
         raise NonFinite("tilt exponents")
-    if not data.m:  # max over an empty axis raises; D = rho_0 = 1
-        return np.zeros(data.n), eta
-    if eta.max() <= unshifted_limit(data):
+    if eta.max(initial=-np.inf) <= unshifted_limit(data):
         E = np.exp(eta, out=eta)
         inner = np.dot(E, data.rho[1:])   # @ skips BLAS when m = 1
         logD = np.log1p(inner)

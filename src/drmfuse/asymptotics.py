@@ -49,8 +49,7 @@ def Sigma_matrix(S: np.ndarray, rho: np.ndarray) -> np.ndarray:
     m = rho.size - 1
     Sinv = _sym_inverse(S, "S")
     P = np.zeros_like(S)
-    if m:
-        P[:m, :m] = 1.0 + np.diag(1.0 / rho[1:])
+    P[:m, :m] = 1.0 + np.diag(1.0 / rho[1:])
     Sigma = Sinv - rho.sum() * P
     return 0.5 * (Sigma + Sigma.T)
 

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import itertools
 import math
+import os
 import sys
 from collections.abc import Collection
 
@@ -213,17 +215,16 @@ def _labels(code: dict[str, int], codes: np.ndarray) -> tuple[tuple[str, ...], n
 
 
 def _partition(regions, periods, values: np.ndarray, wanted: list[str],
-               period_filter: Collection[str] | None) -> tuple[list[Sample], dict[str, int]]:
+               period_filter: Collection[str]) -> tuple[list[Sample], dict[str, int]]:
     """The samples of the regions in ``wanted`` (reference first), as
     ``validate`` takes them, from the columns ``_read_rows`` returns, and each
-    region's count of dropped rows (value <= 0). Rows of other regions are
-    ignored; a ``period_filter`` of None keeps every period."""
+    region's count of dropped rows (value <= 0). Rows of other regions, and
+    of periods not in ``period_filter``, are ignored."""
     region_labels, region_codes = regions
     period_labels, period_codes = periods
     index = {label: i for i, label in enumerate(region_labels)}
     positive = values > 0.0
-    in_filter = np.array([period_filter is None or p in period_filter for p in period_labels],
-                         bool)[period_codes]
+    in_filter = np.array([p in period_filter for p in period_labels], bool)[period_codes]
     samples: list[np.ndarray] = []
     rejected: dict[str, int] = {}
     for rg in wanted:
@@ -272,10 +273,10 @@ def parse_tilt_string(text: str, n_neighbors: int) -> list[TiltSpec]:
         raise ConfigError(str(e)) from None
 
 
-def _resolve_periods(arg: str, available: tuple[str, ...]) -> list[str] | None:
-    """The --periods labels in request order, without repeats; None for 'all'."""
+def _resolve_periods(arg: str, available: tuple[str, ...]) -> list[str]:
+    """The --periods labels in request order, without repeats; the file's labels for 'all'."""
     if arg.strip().lower() == "all":
-        return None
+        return list(available)
     requested = list(dict.fromkeys(_split_list(arg)))
     if not requested:
         raise ConfigError("--periods must be 'all' or a non-empty label list")
@@ -303,7 +304,7 @@ def _read_args(args):
     """The prologue of every data subcommand: check --alpha and that the
     regions are distinct, read the file, and resolve --periods against it.
     Returns the wanted regions (reference first), the file's columns and the
-    selected period labels (None for all)."""
+    selected period labels."""
     _check_alpha(args)
     wanted = [args.reference, *_split_list(args.neighbors)]
     if len(set(wanted)) != len(wanted):
@@ -314,7 +315,7 @@ def _read_args(args):
 
 def _fit_from_args(args):
     wanted, columns, selected = _read_args(args)
-    samples, rejected = _partition(*columns, wanted, selected)
+    samples, rejected = _partition(*columns, wanted, set(selected))
     _report_rejections(rejected)
     tilts = _resolve_tilts(args.tilt, samples, args.alpha)
     return likelihood.fit(validate(samples, tilts)), samples, tilts
@@ -327,17 +328,30 @@ def _report_rejections(rejected: dict[str, int]) -> None:
         print(f"# dropped non-positive rows ({msg})", file=sys.stderr)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise, before any work, the InputError that ``_emit`` would raise for
+    an ``out`` that is a directory or whose directory is missing. Nothing is
+    created."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise InputError(f"cannot write {out!r}: {os.strerror(errno.EISDIR)}")
+    if not os.path.exists(os.path.dirname(out) or "."):
+        raise InputError(f"cannot write {out!r}: {os.strerror(errno.ENOENT)}")
+
+
 def _emit(text: str, out: str | None) -> None:
-    """Print ``text``, or write it to the file ``out``; a file that cannot be
-    written is an InputError."""
+    """Print ``text``, or write it to the file ``out``, ending it with one
+    newline if it has none; a file that cannot be written is an InputError."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as e:
             raise InputError(f"cannot write {out!r}: {e.strerror or e}") from None
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +366,26 @@ def cmd_fit(args) -> int:
     se[data.free] = np.sqrt(np.maximum(np.diag(fitted.Sigma)[data.free], 0.0) / data.n)
     # per neighbor: its alpha row (the constant column), then its betas in tilt order
     terms = ["alpha"] + [b.value for b in GLOBAL_TILT.basis]
-    lines = ["region,term,estimate,se"]
+    buf = io.StringIO()   # labels are CSV-quoted where they need it
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["region", "term", "estimate", "se"])
     for i in np.argsort(data.nbr, kind="stable"):
         label = data.neighbors[data.nbr[i]][0].label
-        lines.append(f"{label},{terms[data.col[i]]},{float(theta[i])!r},{float(se[i])!r}")
-    lines.append(f"# loglik={float(fitted.loglik)!r} iterations={fitted.iterations} "
-                 f"score_norm={fitted.score_norm:.3e}")
-    lines.append(f"# tilts: {'; '.join(spec.format() for spec in tilts)}")
-    _emit("\n".join(lines), args.out)
+        writer.writerow([label, terms[data.col[i]], repr(float(theta[i])), repr(float(se[i]))])
+    buf.write(f"# loglik={float(fitted.loglik)!r} iterations={fitted.iterations} "
+              f"score_norm={fitted.score_norm:.3e}\n")
+    buf.write(f"# tilts: {'; '.join(spec.format() for spec in tilts)}")
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_refine(args) -> int:
-    wanted, columns, selected = _read_args(args)   # partitioned per period below
-    periods = selected or list(columns[1][0])      # else every period label in the file
+    wanted, columns, periods = _read_args(args)   # partitioned per period below
     if not periods:   # no data rows, so no region has any
         raise UnknownRegion(wanted[0])
     # tilt strings contain commas, so rows are CSV-quoted
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["period", *wanted[1:]])
 
     def row(label: str, period_filter: set[str]) -> dict[str, int]:
@@ -384,7 +399,7 @@ def cmd_refine(args) -> int:
     if len(periods) > 1:
         rejected = row("pooled", set(periods))
     _report_rejections(rejected)   # the last row spans every selected period
-    _emit(buf.getvalue().rstrip("\r\n").replace("\r\n", "\n"), args.out)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -493,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return globals()[f"cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"drmfuse: config error: {e}", file=sys.stderr)

@@ -122,8 +122,6 @@ def _beta_block(fit: FittedModel):
 def chi_square_beta_test(fit2: FittedModel) -> TestReport:
     """Joint test of beta = 0 for a pairwise fit; chi-square with r_1 df."""
     beta, Sigma_beta = _beta_block(fit2)
-    if beta.size == 0:
-        return TestReport(statistic=0.0, df=0, p_value=1.0)
     Sinv = asymptotics._sym_inverse(Sigma_beta, "Sigma_beta")
     stat = float(fit2.data.n * beta @ Sinv @ beta)
     return TestReport(

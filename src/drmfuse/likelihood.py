@@ -164,7 +164,7 @@ def fit(data: FusedData, start: np.ndarray | None = None) -> FittedModel:
     Z = _derivative_buffer(data)   # one per fit: X is copied in once
     s_full, H_full = _score_hessian(U, data, Z)
     s, H = s_full[free], H_full[sub]
-    sn = float(np.max(np.abs(s))) if s.size else 0.0
+    sn = float(np.abs(s).max(initial=0.0))
     iterations = polished = 0
 
     while sn > 64 * _EPS * n and polished < 5:
@@ -214,7 +214,7 @@ def fit(data: FusedData, start: np.ndarray | None = None) -> FittedModel:
         theta=theta,
         weights=weights,
         loglik=l,
-        score_norm=float(np.max(np.abs(s_full))) if s_full.size else 0.0,
+        score_norm=float(np.abs(s_full).max(initial=0.0)),
         iterations=iterations,
         S=S,
         Sigma=Sigma,

@@ -60,8 +60,9 @@ def make_pair(rng, n0=200, n1=180, tilt="x", neighbor="gamma"):
 def cli_ingest(path, wanted, period_filter):
     """The subcommands' read path, ``cli._read_rows`` then ``cli._partition``:
     the samples (reference first), each region's count of dropped rows, and
-    the file's period labels."""
+    the file's period labels. A ``period_filter`` of None keeps every period."""
     regions, periods, values = cli._read_rows(path)
+    period_filter = periods[0] if period_filter is None else period_filter
     return (*cli._partition(regions, periods, values, wanted, period_filter), periods[0])
 
 

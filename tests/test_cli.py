@@ -278,7 +278,9 @@ def test_value_padding_is_stripped_on_both_routes(tmp_path):
     ("region,period,value\n", "region 'Beaver' has no rows in the input file"),
     ("region,period,value\n\n\r\n\n", "region 'Beaver' has no rows in the input file"),
     ("\n\n\n", "line 1: expected header region,period,value, got []"),
-], ids=["header-only", "blank-data-lines", "blank-lines-only"])
+    ("", "line 1: empty file"),
+    ("\ufeff", "line 1: empty file"),
+], ids=["header-only", "blank-data-lines", "blank-lines-only", "empty", "bom-only"])
 def test_file_without_data_rows(tmp_path, capsys, text, err):
     path = tmp_path / "nodata.csv"
     path.write_bytes(text.encode())
@@ -318,6 +320,23 @@ def test_cmd_fit_output(radon_csv, capsys):
     terms = [line.split(",")[1] for line in out[1:] if not line.startswith("#")]
     assert terms == ["alpha", "x", "logx", "log2x"] * 2
     assert any(line.startswith("# loglik=") for line in out)
+
+
+def test_cmd_fit_and_refine_quote_labels(tmp_path, capsys):
+    # the field """Q"" County" is the label "Q" County, which reads back only
+    # from a quoted CSV field
+    rng = np.random.default_rng(3)
+    path = tmp_path / "quoted.csv"
+    path.write_text("region,period,value\n" + "".join(
+        f"{region},p,{v!r}\n" for region in ("Beaver", '"""Q"" County"')
+        for v in rng.lognormal(1.0, 0.8, 120).tolist()))
+    argv = [str(path), "--reference", "Beaver", "--neighbors", '"Q" County']
+    assert main(["fit", *argv, "--tilt", "x"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[:2] for row in rows[1:3]] == [['"Q" County', "alpha"], ['"Q" County', "x"]]
+    assert rows[3][0].startswith("# loglik=") and rows[4] == ["# tilts: x"]
+    assert main(["refine", *argv]) == 0
+    assert next(csv.reader(capsys.readouterr().out.splitlines())) == ["period", '"Q" County']
 
 
 @pytest.mark.parametrize("tilt", ["global", "x,logx;"])
@@ -568,6 +587,23 @@ def test_exit_code_2_on_unwritable_out(radon_csv, tmp_path, capsys, command):
             f"drmfuse: input error: cannot write '{out}': {message}\n"), captured.err
 
 
+def test_unwritable_out_is_found_before_the_command_runs(radon_csv, tmp_path, capsys,
+                                                        monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(simulation, "run_comparison", unreachable)
+    monkeypatch.setattr(cli, "_read_rows", unreachable)
+    out = tmp_path / "missing" / "o.csv"
+    assert main(["simulate", "--reps", "2", "--sizes", "50,50,50", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"drmfuse: input error: cannot write '{out}': No such file or directory\n")
+    assert main(["fit", *_flags(radon_csv, "--tilt", "global", "--out", str(tmp_path))]) == 2
+    assert capsys.readouterr() == (
+        "", f"drmfuse: input error: cannot write '{tmp_path}': Is a directory\n")
+    assert not out.parent.exists()
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     path = tmp_path / "nope.csv"
     assert main(["fit", str(path), "--reference", "A", "--neighbors", "B"]) == 2
@@ -619,6 +655,8 @@ def test_exit_code_4_on_bad_flags(radon_csv, capsys):
     assert main(["simulate", "--grid", "0,x,10"]) == 4
     assert main(["simulate", "--grid", "0,10,2.5"]) == 4
     capsys.readouterr()
+    assert main(["simulate", "--grid", "0,10"]) == 4
+    assert capsys.readouterr().err == "drmfuse: config error: --grid needs M1,M2,J\n"
     for flag, value in (("--sizes", "0,1,1"), ("--grid", "10,0,10"), ("--reps", "0"),
                         ("--seed", "-1")):
         assert main(["simulate", flag, value]) == 4   # SimConfig's range checks

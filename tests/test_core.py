@@ -79,11 +79,15 @@ def test_nonpositive_value_rejected():
 def test_empty_sample_rejected():
     with pytest.raises(EmptySample):
         Sample.reference("r", [])
+    with pytest.raises(InputError, match="values must be one-dimensional"):
+        Sample.reference("x", [[1.0, 2.0]])
 
 
 def test_duplicate_basis_rejected():
     with pytest.raises(DuplicateBasis):
         TiltSpec((Basis.LOG, Basis.LOG))
+    with pytest.raises(InputError, match="is not a Basis"):
+        TiltSpec(("x",))
 
 
 def test_arity_and_roles():
@@ -91,6 +95,8 @@ def test_arity_and_roles():
     nb = Sample.neighbor("n", [1.0])
     with pytest.raises(ArityMismatch):
         validate([ref, nb], [])
+    with pytest.raises(ArityMismatch, match="need at least a reference sample"):
+        validate([], [])
     with pytest.raises(ArityMismatch):
         validate([nb, ref], [TiltSpec.parse("x")])
     with pytest.raises(ArityMismatch):

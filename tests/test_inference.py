@@ -125,6 +125,18 @@ def test_reports_on_empty_tilt_pairwise_fit(rng):
     assert z_tests(model).per_component == ()
 
 
+def test_empty_tilt_reports_are_exactly_the_null_report(rng):
+    # the empty beta runs the general path: a (0, 0) inverse, a statistic of
+    # 0.0 and the chi-square tail at df 0
+    ref = Sample.reference("r", rng.gamma(2.0, 0.5, 150))
+    nb = Sample.neighbor("n", rng.exponential(1.0, 120))
+    model = fit(validate([ref, nb], [TiltSpec(())]))
+    joint = chi_square_beta_test(model)
+    assert joint == inference.TestReport(0.0, 0, 1.0, None)
+    assert (type(joint.statistic), type(joint.df), type(joint.p_value)) == (float, int, float)
+    assert z_tests(model) == inference.TestReport(0.0, 0, 1.0, ())
+
+
 def test_chi_square_invariant_to_component_order():
     ref, g, _ = generate(321, (600, 600, 10))
     stat1 = chi_square_beta_test(

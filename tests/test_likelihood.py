@@ -306,6 +306,7 @@ def test_fit_no_neighbors_gives_uniform_weights():
     model = fit(data)
     assert np.allclose(model.weights, 1.0 / 3.0)
     assert model.iterations == 0
+    assert model.score_norm == 0.0
 
 
 def test_fit_identical_copies_recovers_zero():
